@@ -119,8 +119,7 @@ void BM_MidarResolve(benchmark::State& state) {
 BENCHMARK(BM_MidarResolve)->Arg(256)->Arg(1024)->Arg(4096);
 
 // The three phase-2 kernels measure the CorpusIndex-based APIs the
-// pipelines run in production (the map-based originals remain as the
-// equivalence reference). The index itself is built once, untimed —
+// pipelines run. The index itself is built once, untimed —
 // BM_CorpusIndex tracks that scan separately.
 const infer::CorpusIndex& comcast_index() {
   static const auto index = infer::CorpusIndex::build(comcast_study().corpus());
@@ -177,25 +176,8 @@ void BM_RefineRegions(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineRegions);
 
-// Facade parents_of is a full-edge scan per CO; the reverse-CSR rows
-// answer the same question with one row lookup. Same work in both: every
-// CO of every inferred region.
-void BM_ParentsOfFacade(benchmark::State& state) {
-  const auto& regions = comcast_study().adjacency.regions;
-  std::int64_t cos = 0;
-  for (const auto& [name, graph] : regions)
-    cos += static_cast<std::int64_t>(graph.cos.size());
-  for (auto _ : state) {
-    std::size_t parents = 0;
-    for (const auto& [name, graph] : regions)
-      for (const auto& co : graph.cos) parents += graph.parents_of(co).size();
-    benchmark::DoNotOptimize(parents);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          cos);
-}
-BENCHMARK(BM_ParentsOfFacade);
-
+// Reverse-CSR rows answer "which COs feed this one" with one row lookup;
+// every CO of every inferred region.
 void BM_ParentsOfCsr(benchmark::State& state) {
   const auto& regions = comcast_study().adjacency.regions;
   std::vector<infer::CsrGraph> graphs;

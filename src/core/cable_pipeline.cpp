@@ -175,58 +175,36 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
   // ---- Phase 2: CO mapping, pruning, refinement -------------------------
   study.p2p_len = config_.p2p_len != 0 ? config_.p2p_len
                                        : detect_p2p_len(alias_universe);
-  // The CSR path reduces the corpus once (unique pairs + triplets) and
-  // feeds every phase-2 kernel from that index; the legacy path rescans
-  // raw hops per kernel. Outputs are byte-identical, so stage structure
-  // and deterministic manifest content must stay identical too — the
-  // index build lives inside the b1_mapping stage rather than getting a
-  // stage of its own.
+  // Phase 2 reduces the corpus once (unique pairs + triplets) and feeds
+  // every kernel from that index. The index build lives inside the
+  // b1_mapping stage rather than getting a stage of its own, so the
+  // deterministic manifest's stage tree (pinned by the golden fixtures)
+  // names only the paper's phases.
   CorpusIndex index;
   {
     obs::StageTimer stage{&metrics, "b1_mapping"};
     stage.add_items(alias_universe.size());
-    if (config_.use_csr_kernels) {
-      index = CorpusIndex::build(study.traces);
-      // Point-to-point votes only make sense for addresses this ISP
-      // routes (a transit hop preceding the ISP's entry must not inherit
-      // a CO): one weighted vote per unique transit pair.
-      std::vector<WeightedAdjacency> transit_pairs;
-      if (config_.use_p2p_refinement) {
-        for (const auto& record : index.pairs())
-          if (record.transit_count > 0 && isp.owns(record.a))
-            transit_pairs.push_back(
-                {record.a, record.b,
-                 static_cast<int>(record.transit_count),
-                 record.last_transit_seq});
-      }
-      study.mapping =
-          build_co_mapping(alias_universe, transit_pairs, study.p2p_len,
-                           rdns_, study.routers, &study.edge_provenance,
-                           log);
-    } else {
-      std::vector<std::pair<net::IPv4Address, net::IPv4Address>>
-          transit_pairs;
-      if (config_.use_p2p_refinement) {
-        for (const auto& pair :
-             consecutive_pairs(study.traces, /*transit_only=*/true))
-          if (isp.owns(pair.first)) transit_pairs.push_back(pair);
-      }
-      study.mapping =
-          build_co_mapping(alias_universe, transit_pairs, study.p2p_len,
-                           rdns_, study.routers, &study.edge_provenance,
-                           log);
+    index = CorpusIndex::build(study.traces);
+    // Point-to-point votes only make sense for addresses this ISP
+    // routes (a transit hop preceding the ISP's entry must not inherit
+    // a CO): one weighted vote per unique transit pair.
+    std::vector<WeightedAdjacency> transit_pairs;
+    if (config_.use_p2p_refinement) {
+      for (const auto& record : index.pairs())
+        if (record.transit_count > 0 && isp.owns(record.a))
+          transit_pairs.push_back({record.a, record.b,
+                                   static_cast<int>(record.transit_count),
+                                   record.last_transit_seq});
     }
+    study.mapping =
+        build_co_mapping(alias_universe, transit_pairs, study.p2p_len, rdns_,
+                         study.routers, &study.edge_provenance, log);
   }
   {
     obs::StageTimer stage{&metrics, "b2_prune"};
-    if (config_.use_csr_kernels)
-      study.adjacency = build_and_prune(
-          study.traces, index, study.mapping.map, mpls_separated,
-          &study.edge_provenance, log, config_.campaign.parallelism);
-    else
-      study.adjacency = build_and_prune(study.traces, study.mapping.map,
-                                        mpls_separated,
-                                        &study.edge_provenance, log);
+    study.adjacency = build_and_prune(
+        study.traces, index, study.mapping.map, mpls_separated,
+        &study.edge_provenance, log, config_.campaign.parallelism);
     stage.add_items(study.adjacency.stats.ip_adj_initial);
   }
   {
@@ -236,14 +214,9 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
         .complete_rings = config_.use_ring_completion,
         .threads = config_.campaign.parallelism,
         .log = log};
-    if (config_.use_csr_kernels)
-      study.refine = refine_regions(study.adjacency.regions, index,
-                                    study.mapping.map, refine_options,
-                                    &study.edge_provenance);
-    else
-      study.refine = refine_regions(study.adjacency.regions, study.traces,
-                                    study.mapping.map, refine_options,
-                                    &study.edge_provenance);
+    study.refine = refine_regions(study.adjacency.regions, index,
+                                  study.mapping.map, refine_options,
+                                  &study.edge_provenance);
     stage.add_items(study.adjacency.regions.size());
   }
 
@@ -270,16 +243,11 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
   for (const auto& [a, b] : sweep_pairs)
     add_raw_co_pair(a, b, sweep_co_pairs);
   study.co_adjs_sweep_only = sweep_co_pairs.size();
+  // The index already dedups directed pairs, so feeding each record once
+  // yields the same set as scanning every raw occurrence.
   std::set<std::pair<std::string, std::string>> total_co_pairs;
-  if (config_.use_csr_kernels) {
-    // The index already dedups directed pairs, so feeding each record once
-    // yields the same set as scanning every raw occurrence.
-    for (const auto& record : index.pairs())
-      add_raw_co_pair(record.a, record.b, total_co_pairs);
-  } else {
-    for (const auto& [a, b] : consecutive_pairs(study.traces))
-      add_raw_co_pair(a, b, total_co_pairs);
-  }
+  for (const auto& record : index.pairs())
+    add_raw_co_pair(record.a, record.b, total_co_pairs);
   study.co_adjs_total = total_co_pairs.size();
 
   // ---- Run manifest ------------------------------------------------------

@@ -58,14 +58,6 @@ struct CablePipelineConfig {
   int followup_vps = kAllVps;
   /// Host offset probed within each /24 during the sweep.
   int sweep_offset = 9;
-  /// Phase-2 kernel selection. True (the default) runs B.1/B.2/§5.2 on
-  /// the one-pass CorpusIndex and CSR graph kernels, with the prune and
-  /// refine stages parallelized across campaign.parallelism workers;
-  /// false runs the original corpus-rescanning map-based kernels. Both
-  /// paths produce byte-identical maps, graphs, stats, provenance, and
-  /// manifests — this switch exists for the equivalence suite and as an
-  /// escape hatch.
-  bool use_csr_kernels = true;
 };
 
 /// Everything §5 produces for one ISP. Corpus (sweep+rDNS+follow-up

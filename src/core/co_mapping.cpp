@@ -67,12 +67,8 @@ CoAnnotation annotate(net::IPv4Address addr, const RdnsSources& rdns) {
   return out;
 }
 
-/// The most frequent CO among annotations; empty on a tie or no votes.
-template <typename GetKey>
-std::string majority_key(const std::vector<const CoAnnotation*>& votes,
-                         GetKey get_key) {
-  std::map<std::string, int> counts;
-  for (const auto* vote : votes) ++counts[get_key(*vote)];
+/// The key with the highest count; empty on a tie or no counts.
+std::string majority_key(const std::map<std::string, int>& counts) {
   std::string best;
   int best_count = 0;
   bool tie = false;
@@ -88,13 +84,14 @@ std::string majority_key(const std::vector<const CoAnnotation*>& votes,
   return tie ? std::string{} : best;
 }
 
-/// Passes 1 and 2 (rDNS + alias majority), shared by both overloads.
-/// Returns the size of the considered address universe.
-std::size_t initial_and_alias_passes(
-    std::span<const net::IPv4Address> addrs, int p2p_len,
+}  // namespace
+
+CoMappingResult build_co_mapping(
+    std::span<const net::IPv4Address> addrs,
+    const std::vector<WeightedAdjacency>& adjacencies, int p2p_len,
     const RdnsSources& rdns, const RouterClusters& clusters,
-    obs::ProvenanceLog* provenance, obs::Log* log,
-    CoMappingResult& result) {
+    obs::ProvenanceLog* provenance, obs::Log* log) {
+  CoMappingResult result;
   auto& map = result.map;
   auto& stats = result.stats;
 
@@ -127,8 +124,9 @@ std::size_t initial_and_alias_passes(
     for (const auto addr : cluster)
       if (const auto* a = map.get(addr)) votes.push_back(a);
     if (votes.empty()) continue;
-    const auto winner = majority_key(
-        votes, [](const CoAnnotation& a) { return a.co_key; });
+    std::map<std::string, int> counts;
+    for (const auto* vote : votes) ++counts[vote->co_key];
+    const auto winner = majority_key(counts);
     if (winner.empty()) {
       // Tie: remove every mapping in the group (§5.1: "to avoid
       // inconclusive and potentially inaccurate mappings").
@@ -171,93 +169,12 @@ std::size_t initial_and_alias_passes(
     }
   }
   stats.after_alias = map.size();
-  return universe.size();
-}
-
-void log_mapping_summary(std::size_t universe_size, const CoMap& map,
-                         obs::Log* log) {
-  if (log != nullptr && log->enabled(obs::LogLevel::kInfo))
-    log->info("b1.mapping",
-              net::format("mapped %zu of %zu candidate addresses to COs "
-                          "(%zu left unmapped)",
-                          map.size(), universe_size,
-                          universe_size - map.size()));
-}
-
-}  // namespace
-
-CoMappingResult build_co_mapping(
-    std::span<const net::IPv4Address> addrs,
-    const std::vector<std::pair<net::IPv4Address, net::IPv4Address>>&
-        adjacencies,
-    int p2p_len, const RdnsSources& rdns, const RouterClusters& clusters,
-    obs::ProvenanceLog* provenance, obs::Log* log) {
-  CoMappingResult result;
-  auto& map = result.map;
-  auto& stats = result.stats;
-  const auto universe_size = initial_and_alias_passes(
-      addrs, p2p_len, rdns, clusters, provenance, log, result);
 
   // --- pass 3: point-to-point subnet refinement (Fig 19) ---------------
   // For hop x followed by y, the mate y' of y's subnet most likely sits on
-  // the same router as x; use the mates' mappings as votes for x.
-  std::unordered_map<net::IPv4Address, std::vector<const CoAnnotation*>>
-      mate_votes;
-  for (const auto& [x, y] : adjacencies) {
-    const auto mate = net::p2p_mate(y, p2p_len);
-    if (!mate) continue;
-    if (const auto* annotation = map.get(*mate))
-      mate_votes[x].push_back(annotation);
-  }
-  for (auto& [x, votes] : mate_votes) {
-    const auto winner = majority_key(
-        votes, [](const CoAnnotation& a) { return a.co_key; });
-    if (winner.empty()) continue;
-    const CoAnnotation* exemplar = nullptr;
-    for (const auto* vote : votes)
-      if (vote->co_key == winner) exemplar = vote;
-    const auto* current = map.get(x);
-    CoAnnotation inferred = *exemplar;
-    inferred.from_rdns = false;
-    if (current == nullptr) {
-      map.set(x, inferred);
-      ++stats.p2p_added;
-      if (provenance != nullptr)
-        provenance->note_mapping(winner, "b1.p2p_added");
-    } else if (current->co_key != winner) {
-      // Require a strict majority of mate votes to overturn an existing
-      // rDNS-derived mapping (Fig 19: two subnets vs one name).
-      int agreeing = 0;
-      for (const auto* vote : votes) agreeing += vote->co_key == winner;
-      if (agreeing * 2 > static_cast<int>(votes.size()) &&
-          agreeing >= 2) {
-        map.set(x, inferred);
-        ++stats.p2p_changed;
-        if (provenance != nullptr)
-          provenance->note_mapping(winner, "b1.p2p_changed");
-      }
-    }
-  }
-  stats.final_count = map.size();
-  log_mapping_summary(universe_size, map, log);
-  return result;
-}
-
-CoMappingResult build_co_mapping(
-    std::span<const net::IPv4Address> addrs,
-    const std::vector<WeightedAdjacency>& adjacencies, int p2p_len,
-    const RdnsSources& rdns, const RouterClusters& clusters,
-    obs::ProvenanceLog* provenance, obs::Log* log) {
-  CoMappingResult result;
-  auto& map = result.map;
-  auto& stats = result.stats;
-  const auto universe_size = initial_and_alias_passes(
-      addrs, p2p_len, rdns, clusters, provenance, log, result);
-
-  // --- pass 3: point-to-point subnet refinement (Fig 19) ---------------
-  // One mate lookup and one vote per *unique* adjacency; counts weight
-  // the votes, so every majority decision matches the per-occurrence
-  // version (weighted sums == occurrence tallies).
+  // the same router as x; use the mates' mappings as votes for x. One
+  // mate lookup and one vote per *unique* adjacency, weighted by its
+  // count.
   struct WeightedVote {
     const CoAnnotation* annotation;
     int count;
@@ -274,21 +191,10 @@ CoMappingResult build_co_mapping(
     std::map<std::string, int> counts;
     for (const auto& vote : votes)
       counts[vote.annotation->co_key] += vote.count;
-    std::string winner;
-    int best_count = 0;
-    bool tie = false;
-    for (const auto& [key, count] : counts) {
-      if (count > best_count) {
-        winner = key;
-        best_count = count;
-        tie = false;
-      } else if (count == best_count) {
-        tie = true;
-      }
-    }
-    if (tie) continue;
-    // The per-occurrence version keeps the *last* winning vote as its
-    // exemplar; the last transit occurrence carries the highest sequence.
+    const auto winner = majority_key(counts);
+    if (winner.empty()) continue;
+    // The exemplar is the winning vote seen last in corpus order (the
+    // highest last_seq).
     const CoAnnotation* exemplar = nullptr;
     std::uint32_t exemplar_seq = 0;
     for (const auto& vote : votes) {
@@ -321,7 +227,12 @@ CoMappingResult build_co_mapping(
     }
   }
   stats.final_count = map.size();
-  log_mapping_summary(universe_size, map, log);
+  if (log != nullptr && log->enabled(obs::LogLevel::kInfo))
+    log->info("b1.mapping",
+              net::format("mapped %zu of %zu candidate addresses to COs "
+                          "(%zu left unmapped)",
+                          map.size(), universe.size(),
+                          universe.size() - map.size()));
   return result;
 }
 

@@ -80,21 +80,6 @@ struct CoMappingResult {
   CoMappingStats stats;
 };
 
-/// Runs the three-pass mapping. `adjacencies` are consecutive responding
-/// hop pairs from the traceroute corpus (needed by the point-to-point
-/// pass); `p2p_len` is the ISP's inferred point-to-point subnet length.
-/// A provenance log (optional) accumulates bounded per-CO support
-/// counters — how many addresses each pass mapped into the CO (b1.rdns,
-/// b1.alias_*, b1.p2p_*) — which explain() appends to edge transcripts.
-/// A logger (optional) receives warnings for mapping anomalies (alias
-/// majority ties dropping mappings) and a coverage summary.
-[[nodiscard]] CoMappingResult build_co_mapping(
-    std::span<const net::IPv4Address> addrs,
-    const std::vector<std::pair<net::IPv4Address, net::IPv4Address>>&
-        adjacencies,
-    int p2p_len, const RdnsSources& rdns, const RouterClusters& clusters,
-    obs::ProvenanceLog* provenance = nullptr, obs::Log* log = nullptr);
-
 /// Consecutive responding-hop pairs of a corpus, with multiplicity.
 /// When `transit_only` is set, pairs whose second hop is the trace's
 /// destination echo are skipped: a destination replies with the probed
@@ -103,24 +88,28 @@ struct CoMappingResult {
 [[nodiscard]] std::vector<std::pair<net::IPv4Address, net::IPv4Address>>
 consecutive_pairs(const TraceCorpus& corpus, bool transit_only = false);
 
-/// One unique consecutive-hop adjacency with its occurrence count — the
-/// deduplicated form of the `adjacencies` vector above, typically taken
-/// from a CorpusIndex pair table.
+/// One unique consecutive-hop adjacency with its occurrence count,
+/// typically taken from a CorpusIndex pair table.
 struct WeightedAdjacency {
   net::IPv4Address from;
   net::IPv4Address to;
   int count = 0;
-  /// Corpus-order sequence number of the last qualifying occurrence;
-  /// replays legacy last-vote-wins exemplar selection (see
-  /// PairRecord::last_transit_seq).
+  /// Corpus-order sequence number of the last qualifying occurrence (see
+  /// PairRecord::last_transit_seq): among the votes for the winning CO,
+  /// the one with the highest last_seq supplies the exemplar annotation.
   std::uint32_t last_seq = 0;
 };
 
-/// As above, but the point-to-point pass consumes *unique* weighted
-/// adjacencies: one mate lookup and one vote per unique pair, with the
-/// count as the vote's weight. Majority and strict-majority outcomes
-/// equal the per-occurrence version's (weights are the occurrence sums),
-/// so the resulting map, stats, and provenance are byte-identical.
+/// Runs the three-pass mapping. `adjacencies` are the corpus's unique
+/// transit hop pairs (needed by the point-to-point pass): one mate lookup
+/// and one vote per unique pair, weighted by its count, so majorities
+/// equal per-occurrence tallies. `p2p_len` is the ISP's inferred
+/// point-to-point subnet length. A provenance log (optional) accumulates
+/// bounded per-CO support counters — how many addresses each pass mapped
+/// into the CO (b1.rdns, b1.alias_*, b1.p2p_*) — which explain() appends
+/// to edge transcripts. A logger (optional) receives warnings for mapping
+/// anomalies (alias majority ties dropping mappings) and a coverage
+/// summary.
 [[nodiscard]] CoMappingResult build_co_mapping(
     std::span<const net::IPv4Address> addrs,
     const std::vector<WeightedAdjacency>& adjacencies, int p2p_len,

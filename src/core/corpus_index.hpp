@@ -1,11 +1,9 @@
 // One-pass trace-corpus index shared by the inference kernels.
 //
-// The legacy kernels each rescanned the raw corpus — consecutive_pairs()
-// for B.1's point-to-point votes (twice), build_and_prune() for B.2's
-// adjacency extraction, infer_entry_points() for §5.2.5's triplets —
-// four O(total hops) passes, each paying per-occurrence map/hash costs
-// on ~2M hop pairs. This index makes that a single pass that reduces the
-// corpus to its *unique* observations:
+// B.1's point-to-point votes, B.2's adjacency extraction and §5.2.5's
+// entry triplets all need the corpus's consecutive hop pairs or
+// triplets. Rather than each rescanning ~2M raw hop pairs, they share
+// one pass that reduces the corpus to its *unique* observations:
 //
 //   * pairs():    unique directed responding hop pairs (x != y) with
 //                 occurrence counts, transit-only counts (terminal
@@ -17,9 +15,10 @@
 //
 // Both tables are open-addressing hash tables during the scan (packed
 // integer keys, linear probing) and are exported as vectors sorted by
-// address key — the same order the legacy std::map-based kernels
-// iterated in, which is what keeps stats, provenance, and exports
-// byte-identical across the two code paths.
+// address key. Consumers iterate in that order and break ties by corpus
+// order (first/last trace index, last-occurrence sequence numbers), so
+// stats, provenance and exports depend only on the corpus — never on
+// hash layout or thread count. The golden fixtures pin the result.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,7 @@ struct PairRecord {
   std::uint32_t last_trace = 0;     ///< corpus index of last occurrence
   /// Corpus-order sequence number (1-based) of the last *transit*
   /// occurrence; 0 when every occurrence was a destination echo. Lets
-  /// consumers replay legacy last-writer-wins aggregation exactly.
+  /// consumers let the latest occurrence win a tie (last writer wins).
   std::uint32_t last_transit_seq = 0;
 };
 
@@ -51,7 +50,7 @@ struct TripletRecord {
   net::IPv4Address c;
   std::uint32_t count = 0;
   /// Corpus-order sequence number (1-based) of the *last* occurrence —
-  /// lets consumers replay legacy last-writer-wins aggregation exactly.
+  /// lets consumers let the latest occurrence win (last writer wins).
   std::uint32_t last_seq = 0;
 };
 
@@ -60,7 +59,7 @@ class CorpusIndex {
   /// Scans the corpus once and builds both tables.
   [[nodiscard]] static CorpusIndex build(const TraceCorpus& corpus);
 
-  /// Unique pairs, sorted by (a, b) — legacy adjacency-map order.
+  /// Unique pairs, sorted by (a, b).
   [[nodiscard]] const std::vector<PairRecord>& pairs() const {
     return pairs_;
   }

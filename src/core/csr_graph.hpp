@@ -1,23 +1,22 @@
 // Arena-backed CSR (compressed sparse row) form of a RegionalGraph.
 //
 // Nodes are CO keys interned to dense uint32 ids in *sorted key order*,
-// so iterating ids 0..n-1 visits COs exactly as the legacy
-// std::map/std::set facade does — which is what keeps provenance
-// transcripts byte-identical between the two representations. Edges live
-// in parallel arrays (target, observation count, tombstone flag) with
-// both forward and reverse offset tables, so:
+// so iterating ids 0..n-1 visits COs in the same order as iterating
+// RegionalGraph::cos. The refine kernels emit stats, provenance and
+// tie-breaks in id order, so their transcripts are a function of the CO
+// keys alone — the contract the golden fixtures pin. Edges live in
+// parallel arrays (target, observation count, tombstone flag) with both
+// forward and reverse offset tables, so:
 //   * out/in degree and adjacency tests are array scans, not map walks;
 //   * pruning/refinement removals are in-place tombstones (no erases);
-//   * parents_of() — an O(V*E) full-graph scan on the facade — is one
-//     reverse-row lookup.
+//   * parents_of() is one reverse-row lookup.
 // Ring-completion additions go to a side list (the CSR arrays are
 // immutable after build) and are folded back by to_regional().
 //
-// The facade RegionalGraph remains the interchange type: exports, eval,
-// and resilience reports consume it unchanged. from_regional() /
-// to_regional() convert losslessly, with to_regional() dropping nodes
-// that tombstoning fully isolated — the same orphan rule
-// RegionalGraph::remove_edge applies.
+// RegionalGraph remains the interchange type: exports, eval, and
+// resilience reports consume it. from_regional() / to_regional() convert
+// losslessly, with to_regional() dropping nodes that tombstoning fully
+// isolated — the same orphan rule RegionalGraph::remove_edge applies.
 #pragma once
 
 #include <algorithm>
@@ -35,13 +34,13 @@ class CsrGraph {
   static constexpr std::uint32_t kInvalid = core::Interner::kInvalidId;
 
   /// Builds the CSR form. Node ids follow sorted CO-key order (so id
-  /// order == facade iteration order); each forward row lists targets
+  /// order == RegionalGraph::cos order); each forward row lists targets
   /// with ids ascending.
   [[nodiscard]] static CsrGraph from_regional(const RegionalGraph& graph);
 
-  /// Converts back to a facade graph holding region, cos, out, and
+  /// Converts back to a RegionalGraph holding region, cos, out, and
   /// agg_cos: live forward edges plus side-list additions. Nodes with no
-  /// remaining incident edge are dropped (the facade's orphan rule).
+  /// remaining incident edge are dropped (RegionalGraph's orphan rule).
   /// Entry maps are the caller's to carry over.
   [[nodiscard]] RegionalGraph to_regional() const;
 
@@ -101,7 +100,7 @@ class CsrGraph {
   [[nodiscard]] std::uint32_t rev_from(std::uint32_t i) const {
     return rev_from_[i];
   }
-  /// Live upstream ids of v, ascending (the reverse-CSR parents_of).
+  /// Live upstream ids of v, ascending.
   [[nodiscard]] std::vector<std::uint32_t> parents_of(std::uint32_t v) const;
 
   [[nodiscard]] const std::string& region() const { return region_; }

@@ -34,8 +34,8 @@ AggregationType classify_region(const RegionalGraph& graph) {
 RedundancyStats redundancy_of(const RegionalGraph& graph) {
   RedundancyStats stats;
   stats.agg_cos = static_cast<int>(graph.agg_cos.size());
-  // One CSR build turns the facade's per-CO O(V*E) parents_of scans into
-  // reverse-row lookups.
+  // One CSR build answers every CO's parent set with a reverse-row
+  // lookup.
   const auto csr = CsrGraph::from_regional(graph);
   for (const auto& co : graph.edge_cos()) {
     ++stats.edge_cos;

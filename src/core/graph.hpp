@@ -70,13 +70,6 @@ struct RegionalGraph {
       if (!agg_cos.contains(co)) result.insert(co);
     return result;
   }
-  /// Upstream COs of a CO (predecessors in the directed graph).
-  [[nodiscard]] std::set<std::string> parents_of(const std::string& co) const {
-    std::set<std::string> result;
-    for (const auto& [from, tos] : out)
-      if (tos.contains(co)) result.insert(from);
-    return result;
-  }
 };
 
 }  // namespace ran::infer

@@ -6,8 +6,9 @@
 //
 // Determinism contract: ids are assigned in first-intern order, so two
 // runs that intern the same keys in the same order agree on every id.
-// The graph kernels intern in sorted-CO-key order per region, which is
-// what keeps CSR row order equal to the legacy std::map iteration order.
+// The graph kernels intern in sorted-CO-key order per region, so CSR ids
+// and row order follow sorted CO keys and every kernel's output order is
+// a function of the keys alone.
 // Interner is NOT thread-safe; each analysis shard owns its own (or
 // interns before fanning out).
 #pragma once

@@ -101,7 +101,7 @@ struct MplsSeparation {
 
 /// Classifies one CO adjacency: provenance support + decision record,
 /// per-rule stats, and — when kept — the edge in its region's graph.
-/// Both the legacy and the index-based pipelines funnel through this, so
+/// The serial loop and every parallel shard funnel through this, so
 /// their transcripts agree by construction.
 void classify_co_adj(const std::pair<std::string, std::string>& pair,
                      const CoAdj& adj, const TraceCorpus& corpus,
@@ -158,114 +158,7 @@ void classify_co_adj(const std::pair<std::string, std::string>& pair,
   graph.add_edge(pair.first, pair.second, adj.traces);
 }
 
-void log_prune_summary(const PruningStats& stats, std::size_t region_count,
-                       obs::Log* log) {
-  if (log == nullptr) return;
-  const std::size_t pruned = stats.co_adj_mpls + stats.co_adj_backbone +
-                             stats.co_adj_cross_region +
-                             stats.co_adj_single;
-  if (stats.co_adj_initial > 0 && pruned == stats.co_adj_initial)
-    log->warn("b2.prune",
-              net::format("pruning removed all %zu CO adjacencies; no "
-                          "regional graph survives",
-                          stats.co_adj_initial));
-  else if (log->enabled(obs::LogLevel::kInfo))
-    log->info("b2.prune",
-              net::format("pruned %zu of %zu CO adjacencies "
-                          "(mpls %zu, backbone %zu, cross-region %zu, "
-                          "single %zu); %zu region(s) survive",
-                          pruned, stats.co_adj_initial, stats.co_adj_mpls,
-                          stats.co_adj_backbone, stats.co_adj_cross_region,
-                          stats.co_adj_single, region_count));
-}
-
 }  // namespace
-
-AdjacencyResult build_and_prune(
-    const TraceCorpus& corpus, const CoMap& co_map,
-    const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&
-        mpls_separated,
-    obs::ProvenanceLog* provenance, obs::Log* log) {
-  AdjacencyResult result;
-  auto& stats = result.stats;
-
-  // Unique IP adjacencies with trace counts, where both endpoints map to
-  // a CO (the paper's accounting universe). The first/last supporting
-  // trace indices follow corpus order, which is deterministic at any
-  // campaign thread count, so provenance trace ids are byte-stable.
-  struct AdjInfo {
-    int count = 0;
-    const CoAnnotation* a = nullptr;
-    const CoAnnotation* b = nullptr;
-    std::size_t first_trace = kNoTrace;
-    std::size_t last_trace = kNoTrace;
-  };
-  std::map<std::pair<net::IPv4Address, net::IPv4Address>, AdjInfo> ip_adjs;
-  for (std::size_t t = 0; t < corpus.traces.size(); ++t) {
-    const auto& trace = corpus.traces[t];
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const auto& x = trace.hops[i];
-      const auto& y = trace.hops[i + 1];
-      if (!x.responded() || !y.responded() || x.addr == y.addr) continue;
-      const auto* ca = co_map.get(x.addr);
-      const auto* cb = co_map.get(y.addr);
-      if (ca == nullptr || cb == nullptr) continue;
-      auto& info = ip_adjs[{x.addr, y.addr}];
-      ++info.count;
-      info.a = ca;
-      info.b = cb;
-      if (info.first_trace == kNoTrace) info.first_trace = t;
-      info.last_trace = t;
-    }
-  }
-  stats.ip_adj_initial = ip_adjs.size();
-
-  const auto sep = lift_separations(mpls_separated, co_map);
-
-  // Aggregate to CO adjacencies while classifying.
-  std::map<std::pair<std::string, std::string>, CoAdj> co_adjs;
-  for (const auto& [pair, info] : ip_adjs) {
-    if (info.a->co_key == info.b->co_key) continue;  // intra-CO hop
-    const bool mpls = sep.separated(pair, *info.a, *info.b);
-    const bool backbone = info.a->backbone || info.b->backbone;
-    const bool cross_region =
-        !backbone && info.a->region != info.b->region;
-    if (mpls) ++stats.ip_adj_mpls;
-    else if (backbone) ++stats.ip_adj_backbone;
-    else if (cross_region) ++stats.ip_adj_cross_region;
-
-    auto& co = co_adjs[{info.a->co_key, info.b->co_key}];
-    if (!mpls) {
-      co.traces += info.count;
-      co.first_trace = std::min(co.first_trace, info.first_trace);
-      if (co.last_trace == kNoTrace || info.last_trace > co.last_trace)
-        co.last_trace = info.last_trace;
-    }
-    // The CO pair is false only when every address-level adjacency
-    // between the COs is tunnel-spanning.
-    co.mpls = (co.mpls || mpls) && co.traces == 0;
-    co.backbone = co.backbone || backbone;
-    co.cross_region = co.cross_region || cross_region;
-    if (!info.a->backbone) co.region = info.a->region;
-    else if (!info.b->backbone) co.region = info.b->region;
-  }
-  stats.co_adj_initial = co_adjs.size();
-
-  for (const auto& [pair, adj] : co_adjs)
-    classify_co_adj(pair, adj, corpus, stats, provenance, result.regions);
-
-  // Count single-observation IP adjacencies for the Table 4 IP column.
-  for (const auto& [pair, info] : ip_adjs) {
-    if (info.count != 1) continue;
-    if (sep.separated(pair, *info.a, *info.b)) continue;
-    if (info.a->backbone || info.b->backbone) continue;
-    if (info.a->region != info.b->region) continue;
-    ++stats.ip_adj_single;
-  }
-
-  log_prune_summary(stats, result.regions.size(), log);
-  return result;
-}
 
 AdjacencyResult build_and_prune(
     const TraceCorpus& corpus, const CorpusIndex& index, const CoMap& co_map,
@@ -276,9 +169,11 @@ AdjacencyResult build_and_prune(
   auto& stats = result.stats;
   const auto sep = lift_separations(mpls_separated, co_map);
 
-  // One linear pass over the corpus's unique pairs (already sorted in the
-  // legacy adjacency-map order) replaces the per-occurrence map walk: two
-  // CoMap lookups per *unique* pair instead of two per hop pair.
+  // One linear pass over the corpus's unique pairs, sorted by (a, b)
+  // address key: two CoMap lookups per *unique* pair instead of two per
+  // hop pair. Each CO adjacency's first/last supporting trace is the
+  // min/max corpus index over its address pairs, and co_adjs iterates in
+  // sorted CO-key order — the order the golden fixtures pin.
   std::map<std::pair<std::string, std::string>, CoAdj> co_adjs;
   for (const auto& record : index.pairs()) {
     const auto* ca = co_map.get(record.a);
@@ -290,8 +185,8 @@ AdjacencyResult build_and_prune(
                                                              record.b};
     const bool mpls = sep.separated(pair, *ca, *cb);
     const bool backbone = ca->backbone || cb->backbone;
-    // Table 4 IP column: single-observation adjacencies (the legacy
-    // second pass, folded into the same scan).
+    // Table 4 IP column: single-observation adjacencies that survive
+    // the MPLS, backbone and cross-region rules.
     if (record.count == 1 && !mpls && !backbone &&
         ca->region == cb->region)
       ++stats.ip_adj_single;
@@ -364,7 +259,24 @@ AdjacencyResult build_and_prune(
     }
   }
 
-  log_prune_summary(stats, result.regions.size(), log);
+  if (log != nullptr) {
+    const std::size_t pruned = stats.co_adj_mpls + stats.co_adj_backbone +
+                               stats.co_adj_cross_region +
+                               stats.co_adj_single;
+    if (stats.co_adj_initial > 0 && pruned == stats.co_adj_initial)
+      log->warn("b2.prune",
+                net::format("pruning removed all %zu CO adjacencies; no "
+                            "regional graph survives",
+                            stats.co_adj_initial));
+    else if (log->enabled(obs::LogLevel::kInfo))
+      log->info("b2.prune",
+                net::format("pruned %zu of %zu CO adjacencies "
+                            "(mpls %zu, backbone %zu, cross-region %zu, "
+                            "single %zu); %zu region(s) survive",
+                            pruned, stats.co_adj_initial, stats.co_adj_mpls,
+                            stats.co_adj_backbone, stats.co_adj_cross_region,
+                            stats.co_adj_single, result.regions.size()));
+  }
   return result;
 }
 

@@ -50,28 +50,20 @@ struct AdjacencyResult {
   PruningStats stats;
 };
 
-/// Extracts CO adjacencies from the corpus, prunes MPLS/backbone/
-/// cross-region/single-observation ones, and assembles per-region graphs.
-/// When `provenance` is non-null, every CO adjacency examined gains an
-/// EdgeProvenance record: its supporting observation count, first/last
-/// supporting (vp,dst) trace ids (corpus order), and a prune.* decision
-/// whose per-rule totals equal the co_adj_* fields of PruningStats.
-/// A logger (optional) receives a per-rule pruning summary and a warning
-/// when pruning removes every CO adjacency.
-[[nodiscard]] AdjacencyResult build_and_prune(
-    const TraceCorpus& corpus, const CoMap& co_map,
-    const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&
-        mpls_separated,
-    obs::ProvenanceLog* provenance = nullptr, obs::Log* log = nullptr);
-
 class CorpusIndex;
 
-/// Index-based kernel: consumes the corpus's unique-pair table instead of
-/// rescanning raw hops — two CoMap lookups per unique pair rather than
-/// per occurrence — and, with threads > 1, classifies CO adjacencies per
-/// region in parallel. Stats, provenance, graphs, and log output are
-/// byte-identical to the corpus-based overload at any thread count (the
-/// corpus is still needed for provenance trace ids).
+/// Extracts CO adjacencies from the corpus's unique-pair table, prunes
+/// MPLS/backbone/cross-region/single-observation ones, and assembles
+/// per-region graphs. Two CoMap lookups per *unique* pair; with
+/// threads > 1 (0 = hardware concurrency) the CO adjacencies are
+/// classified per region in parallel, and the output is identical at
+/// any thread count. When `provenance` is non-null, every CO adjacency
+/// examined gains an EdgeProvenance record: its supporting observation
+/// count, first/last supporting (vp,dst) trace ids (corpus order, which
+/// is why the corpus itself is needed), and a prune.* decision whose
+/// per-rule totals equal the co_adj_* fields of PruningStats. A logger
+/// (optional) receives a per-rule pruning summary and a warning when
+/// pruning removes every CO adjacency.
 [[nodiscard]] AdjacencyResult build_and_prune(
     const TraceCorpus& corpus, const CorpusIndex& index, const CoMap& co_map,
     const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&

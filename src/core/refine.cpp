@@ -22,39 +22,13 @@ void RefineStats::publish(obs::Registry& registry,
   registry.counter(prefix + ".small_aggs_kept").inc(small_aggs_kept);
 }
 
-void identify_agg_cos(RegionalGraph& graph) {
-  graph.agg_cos.clear();
-  if (graph.cos.empty()) return;
-  std::vector<double> degrees;
-  degrees.reserve(graph.cos.size());
-  for (const auto& co : graph.cos)
-    degrees.push_back(static_cast<double>(graph.out_degree(co)));
-  const double threshold = net::mean(degrees) + net::stddev(degrees);
-  for (const auto& co : graph.cos) {
-    if (static_cast<double>(graph.out_degree(co)) > threshold &&
-        graph.out_degree(co) >= 2)
-      graph.agg_cos.insert(co);
-  }
-  // Degenerate case: a tiny region where one CO clearly feeds the rest.
-  if (graph.agg_cos.empty()) {
-    std::string best;
-    int best_degree = 0;
-    for (const auto& co : graph.cos) {
-      if (graph.out_degree(co) > best_degree) {
-        best = co;
-        best_degree = graph.out_degree(co);
-      }
-    }
-    if (best_degree >= 1) graph.agg_cos.insert(best);
-  }
-}
-
 void identify_agg_cos(CsrGraph& graph) {
   graph.clear_agg();
   const auto n = static_cast<std::uint32_t>(graph.node_count());
   if (n == 0) return;
-  // Node ids follow sorted key order, so this accumulates the mean and
-  // stddev in the exact floating-point order of the facade version.
+  // Node ids follow sorted CO-key order: the mean and stddev accumulate
+  // in key order, and the fallback below breaks ties toward the lowest
+  // key.
   std::vector<double> degrees;
   degrees.reserve(n);
   std::vector<int> degree(n);
@@ -84,60 +58,13 @@ void identify_agg_cos(CsrGraph& graph) {
   }
 }
 
-void remove_edge_to_edge(RegionalGraph& graph, RefineStats& stats,
-                         obs::ProvenanceLog* provenance) {
-  // An EdgeCO keeps its outgoing edges only when it aggregates several COs
-  // that no AggCO serves (a genuine small aggregator, B.3); every other
-  // EdgeCO->EdgeCO edge is presumed stale rDNS (§5.2.3).
-  std::vector<std::pair<std::string, std::string>> to_remove;
-  for (const auto& [from, tos] : graph.out) {
-    if (graph.agg_cos.contains(from)) continue;
-    // Downstream EdgeCOs of `from` that no AggCO also serves.
-    int orphans = 0;
-    for (const auto& [to, count] : tos) {
-      if (graph.agg_cos.contains(to)) continue;
-      bool agg_serves = false;
-      for (const auto& agg : graph.agg_cos)
-        agg_serves = agg_serves || graph.has_edge(agg, to);
-      if (!agg_serves) ++orphans;
-    }
-    if (orphans >= 2) {
-      ++stats.small_aggs_kept;
-      if (provenance != nullptr) {
-        // The stat's unit is the source CO, so the rule total counts it
-        // once; the per-edge chain still gains an (uncounted) entry.
-        provenance->count_rule("refine.small_agg", true);
-        for (const auto& [to, count] : tos) {
-          if (graph.agg_cos.contains(to)) continue;
-          provenance->record_uncounted(
-              from, to, "refine.small_agg", true,
-              net::format("source aggregates %d CO(s) no AggCO serves "
-                          "(B.3 small-AggCO exception)",
-                          orphans));
-        }
-      }
-      continue;
-    }
-    for (const auto& [to, count] : tos) {
-      if (!graph.agg_cos.contains(to))
-        to_remove.emplace_back(from, to);
-    }
-  }
-  for (const auto& [from, to] : to_remove) {
-    graph.remove_edge(from, to);
-    ++stats.edge_edges_removed;
-    if (provenance != nullptr)
-      provenance->record(from, to, "refine.edge_edge", false,
-                         "EdgeCO->EdgeCO with no orphan downstream: "
-                         "presumed stale rDNS (s5.2.3)");
-  }
-}
-
 void remove_edge_to_edge(CsrGraph& graph, RefineStats& stats,
                          obs::ProvenanceLog* provenance) {
   const auto n = static_cast<std::uint32_t>(graph.node_count());
-  // One reverse-row sweep replaces the facade's per-target scan over all
-  // AggCOs: agg_served[v] holds "some AggCO has a live edge to v".
+  // An EdgeCO keeps its outgoing edges only when it aggregates several COs
+  // that no AggCO serves (a genuine small aggregator, B.3); every other
+  // EdgeCO->EdgeCO edge is presumed stale rDNS (§5.2.3). One reverse-row
+  // sweep precomputes agg_served[v]: "some AggCO has a live edge to v".
   std::vector<std::uint8_t> agg_served(n, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     for (auto i = graph.rev_begin(v); i < graph.rev_end(v); ++i) {
@@ -161,6 +88,8 @@ void remove_edge_to_edge(CsrGraph& graph, RefineStats& stats,
     if (orphans >= 2) {
       ++stats.small_aggs_kept;
       if (provenance != nullptr) {
+        // The stat's unit is the source CO, so the rule total counts it
+        // once; the per-edge chain still gains an (uncounted) entry.
         provenance->count_rule("refine.small_agg", true);
         for (auto e = graph.fwd_begin(u); e < graph.fwd_end(u); ++e) {
           if (graph.edge_dead(e)) continue;
@@ -195,25 +124,7 @@ void remove_edge_to_edge(CsrGraph& graph, RefineStats& stats,
 
 namespace {
 
-/// Downstream EdgeCOs (non-agg successors) of an AggCO.
-std::set<std::string> downstream_edges(const RegionalGraph& graph,
-                                       const std::string& agg) {
-  std::set<std::string> out;
-  const auto it = graph.out.find(agg);
-  if (it == graph.out.end()) return out;
-  for (const auto& [to, count] : it->second)
-    if (!graph.agg_cos.contains(to)) out.insert(to);
-  return out;
-}
-
-std::size_t overlap_size(const std::set<std::string>& a,
-                         const std::set<std::string>& b) {
-  std::size_t n = 0;
-  for (const auto& x : a) n += b.contains(x);
-  return n;
-}
-
-/// Sorted-range overlap for the CSR variant (children rows ascend).
+/// Size of the intersection of two ascending id lists.
 std::size_t overlap_size(const std::vector<std::uint32_t>& a,
                          const std::vector<std::uint32_t>& b) {
   std::size_t n = 0;
@@ -233,72 +144,6 @@ std::size_t overlap_size(const std::vector<std::uint32_t>& a,
 
 }  // namespace
 
-void complete_ring_pairs(RegionalGraph& graph, RefineStats& stats,
-                         obs::ProvenanceLog* provenance) {
-  const std::vector<std::string> aggs{graph.agg_cos.begin(),
-                                      graph.agg_cos.end()};
-  std::map<std::string, std::set<std::string>> children;
-  for (const auto& agg : aggs) children[agg] = downstream_edges(graph, agg);
-
-  // Relation rule (B.3): AGGx ~ AGGy when >= 3/4 of AGGx's EdgeCOs overlap
-  // AGGy's and the overlap covers >= 1/2 of AGGy's; a relaxed 3/4 rule
-  // applies when neither CO found any partner.
-  std::map<std::string, std::set<std::string>> related;
-  for (std::size_t i = 0; i < aggs.size(); ++i) {
-    for (std::size_t j = i + 1; j < aggs.size(); ++j) {
-      const auto& x = children[aggs[i]];
-      const auto& y = children[aggs[j]];
-      if (x.empty() || y.empty()) continue;
-      const auto common = overlap_size(x, y);
-      const bool forward = 4 * common >= 3 * x.size() &&
-                           2 * common >= y.size();
-      const bool backward = 4 * common >= 3 * y.size() &&
-                            2 * common >= x.size();
-      if (forward || backward) {
-        related[aggs[i]].insert(aggs[j]);
-        related[aggs[j]].insert(aggs[i]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < aggs.size(); ++i) {
-    for (std::size_t j = i + 1; j < aggs.size(); ++j) {
-      if (!related[aggs[i]].empty() || !related[aggs[j]].empty()) continue;
-      const auto& x = children[aggs[i]];
-      const auto& y = children[aggs[j]];
-      if (x.empty() || y.empty()) continue;
-      const auto common = overlap_size(x, y);
-      if (4 * common >= 3 * std::min(x.size(), y.size())) {
-        related[aggs[i]].insert(aggs[j]);
-        related[aggs[j]].insert(aggs[i]);
-      }
-    }
-  }
-
-  // Completion: all related AggCOs serve the union of their EdgeCOs.
-  for (const auto& [agg, partners] : related) {
-    std::set<std::string> target = children[agg];
-    for (const auto& partner : partners)
-      target.insert(children[partner].begin(), children[partner].end());
-    for (const auto& edge : target) {
-      if (!graph.has_edge(agg, edge)) {
-        graph.add_edge(agg, edge, 0);
-        ++stats.ring_edges_added;
-        if (provenance != nullptr) {
-          std::string detail =
-              "dual-star completion (s5.2.4): ring partner(s)";
-          for (const auto& partner : partners) {
-            detail += ' ';
-            detail += partner;
-          }
-          detail += " already serve this EdgeCO";
-          provenance->record(agg, edge, "refine.ring", true,
-                             std::move(detail));
-        }
-      }
-    }
-  }
-}
-
 void complete_ring_pairs(CsrGraph& graph, RefineStats& stats,
                          obs::ProvenanceLog* provenance) {
   const auto n = static_cast<std::uint32_t>(graph.node_count());
@@ -306,7 +151,7 @@ void complete_ring_pairs(CsrGraph& graph, RefineStats& stats,
   for (std::uint32_t u = 0; u < n; ++u)
     if (graph.is_agg(u)) aggs.push_back(u);
   // Live non-agg successors per AggCO; forward rows ascend, so these are
-  // sorted — id order == key order, matching the facade's string sets.
+  // sorted by id, which is sorted CO-key order.
   std::vector<std::vector<std::uint32_t>> children(aggs.size());
   for (std::size_t i = 0; i < aggs.size(); ++i) {
     for (auto e = graph.fwd_begin(aggs[i]); e < graph.fwd_end(aggs[i]); ++e) {
@@ -316,6 +161,9 @@ void complete_ring_pairs(CsrGraph& graph, RefineStats& stats,
     }
   }
 
+  // Relation rule (B.3): AGGx ~ AGGy when >= 3/4 of AGGx's EdgeCOs overlap
+  // AGGy's and the overlap covers >= 1/2 of AGGy's; a relaxed 3/4 rule
+  // applies when neither CO found any partner.
   std::vector<std::set<std::size_t>> related(aggs.size());
   for (std::size_t i = 0; i < aggs.size(); ++i) {
     for (std::size_t j = i + 1; j < aggs.size(); ++j) {
@@ -347,6 +195,7 @@ void complete_ring_pairs(CsrGraph& graph, RefineStats& stats,
     }
   }
 
+  // Completion: all related AggCOs serve the union of their EdgeCOs.
   for (std::size_t i = 0; i < aggs.size(); ++i) {
     std::set<std::uint32_t> target{children[i].begin(), children[i].end()};
     for (const auto j : related[i])
@@ -382,8 +231,8 @@ struct EntryCandidate {
   std::map<std::string, int> adjacent_counts;
   /// All region COs observed downstream of the entry.
   std::set<std::string> downstream;
-  /// Sequence number of the last observation backing from_region (index
-  /// path only; replays the legacy last-writer-wins assignment).
+  /// Corpus-order sequence number of the latest triplet backing
+  /// from_region: the latest occurrence decides (last writer wins).
   std::uint32_t last_seq = 0;
 
   [[nodiscard]] std::set<std::string> adjacent() const {
@@ -394,13 +243,39 @@ struct EntryCandidate {
   }
 };
 
-using EntryCandidates =
-    std::map<std::pair<std::string, std::string>, EntryCandidate>;
+}  // namespace
 
-/// The corroboration pass shared by both entry-inference variants.
-void apply_entry_candidates(const EntryCandidates& candidates,
-                            std::map<std::string, RegionalGraph>& regions,
-                            obs::ProvenanceLog* provenance) {
+void infer_entry_points(const CorpusIndex& index, const CoMap& co_map,
+                        std::map<std::string, RegionalGraph>& regions,
+                        obs::ProvenanceLog* provenance) {
+  // One pass over the unique triplets, sorted by (a, b, c): counts weight
+  // the adjacency votes (the sums equal per-occurrence tallies) and the
+  // triplet with the highest last_seq sets from_region, so the latest
+  // occurrence in corpus order wins.
+  std::map<std::pair<std::string, std::string>, EntryCandidate> candidates;
+  for (const auto& triplet : index.triplets()) {
+    const auto* ci = co_map.get(triplet.a);
+    if (ci == nullptr) continue;
+    const auto* cj = co_map.get(triplet.b);
+    if (cj == nullptr) continue;
+    const auto* ck = co_map.get(triplet.c);
+    if (ck == nullptr) continue;
+    if (cj->backbone || ck->backbone) continue;
+    if (cj->region != ck->region || cj->co_key == ck->co_key) continue;
+    const bool backbone_entry = ci->backbone;
+    const bool foreign_entry = !ci->backbone && ci->region != cj->region;
+    if (!backbone_entry && !foreign_entry) continue;
+    auto& candidate = candidates[{ci->co_key, cj->region}];
+    if (triplet.last_seq > candidate.last_seq) {
+      candidate.from_region =
+          backbone_entry ? std::string{} : ci->region;
+      candidate.last_seq = triplet.last_seq;
+    }
+    candidate.adjacent_counts[cj->co_key] +=
+        static_cast<int>(triplet.count);
+    candidate.downstream.insert(cj->co_key);
+    candidate.downstream.insert(ck->co_key);
+  }
   for (const auto& [key, candidate] : candidates) {
     const auto& [entry_co, region_name] = key;
     const char* rule =
@@ -443,109 +318,6 @@ void apply_entry_candidates(const EntryCandidates& candidates,
       graph.region_entries[entry_co] = {candidate.from_region, reached};
     }
   }
-}
-
-}  // namespace
-
-void infer_entry_points(const TraceCorpus& corpus, const CoMap& co_map,
-                        std::map<std::string, RegionalGraph>& regions,
-                        obs::ProvenanceLog* provenance) {
-  EntryCandidates candidates;
-  for (const auto& trace : corpus.traces) {
-    // Annotated hops at strictly consecutive positions; a silent hop in
-    // between means the two COs need not be adjacent (a missed backbone
-    // hop would otherwise fabricate an entry from its mesh neighbour).
-    std::vector<const CoAnnotation*> annotations(trace.hops.size(), nullptr);
-    for (std::size_t i = 0; i < trace.hops.size(); ++i)
-      if (trace.hops[i].responded())
-        annotations[i] = co_map.get(trace.hops[i].addr);
-    for (std::size_t i = 0; i + 2 < annotations.size(); ++i) {
-      const auto* ci = annotations[i];
-      const auto* cj = annotations[i + 1];
-      const auto* ck = annotations[i + 2];
-      if (ci == nullptr || cj == nullptr || ck == nullptr) continue;
-      if (cj->backbone || ck->backbone) continue;
-      if (cj->region != ck->region || cj->co_key == ck->co_key) continue;
-      const bool backbone_entry = ci->backbone;
-      const bool foreign_entry =
-          !ci->backbone && ci->region != cj->region;
-      if (!backbone_entry && !foreign_entry) continue;
-      auto& candidate = candidates[{ci->co_key, cj->region}];
-      candidate.from_region = backbone_entry ? std::string{} : ci->region;
-      ++candidate.adjacent_counts[cj->co_key];
-      candidate.downstream.insert(cj->co_key);
-      candidate.downstream.insert(ck->co_key);
-    }
-  }
-  apply_entry_candidates(candidates, regions, provenance);
-}
-
-void infer_entry_points(const CorpusIndex& index, const CoMap& co_map,
-                        std::map<std::string, RegionalGraph>& regions,
-                        obs::ProvenanceLog* provenance) {
-  // The unique-triplet table stands in for the per-trace scan: counts
-  // weight the adjacency votes (sums match per-occurrence increments) and
-  // last_seq replays the legacy last-writer-wins from_region assignment.
-  EntryCandidates candidates;
-  for (const auto& triplet : index.triplets()) {
-    const auto* ci = co_map.get(triplet.a);
-    if (ci == nullptr) continue;
-    const auto* cj = co_map.get(triplet.b);
-    if (cj == nullptr) continue;
-    const auto* ck = co_map.get(triplet.c);
-    if (ck == nullptr) continue;
-    if (cj->backbone || ck->backbone) continue;
-    if (cj->region != ck->region || cj->co_key == ck->co_key) continue;
-    const bool backbone_entry = ci->backbone;
-    const bool foreign_entry = !ci->backbone && ci->region != cj->region;
-    if (!backbone_entry && !foreign_entry) continue;
-    auto& candidate = candidates[{ci->co_key, cj->region}];
-    if (triplet.last_seq > candidate.last_seq) {
-      candidate.from_region =
-          backbone_entry ? std::string{} : ci->region;
-      candidate.last_seq = triplet.last_seq;
-    }
-    candidate.adjacent_counts[cj->co_key] +=
-        static_cast<int>(triplet.count);
-    candidate.downstream.insert(cj->co_key);
-    candidate.downstream.insert(ck->co_key);
-  }
-  apply_entry_candidates(candidates, regions, provenance);
-}
-
-RefineStats refine_regions(std::map<std::string, RegionalGraph>& regions,
-                           const TraceCorpus& corpus, const CoMap& co_map,
-                           const RefineOptions& options,
-                           obs::ProvenanceLog* provenance) {
-  RefineStats stats;
-  auto* log = options.log;
-  for (auto& [name, graph] : regions) {
-    identify_agg_cos(graph);
-    if (log != nullptr && graph.agg_cos.empty())
-      log->warn("refine.no_agg",
-                net::format("region %s: no AggCO identified among %zu "
-                            "COs; refinement heuristics cannot apply",
-                            name.c_str(), graph.cos.size()));
-    if (options.remove_edge_edges)
-      remove_edge_to_edge(graph, stats, provenance);
-    if (options.complete_rings) {
-      if (log != nullptr && graph.agg_cos.size() == 1)
-        log->warn("refine.ring",
-                  net::format("region %s: ring completion found no "
-                              "second AggCO to pair with",
-                              name.c_str()));
-      complete_ring_pairs(graph, stats, provenance);
-    }
-  }
-  infer_entry_points(corpus, co_map, regions, provenance);
-  if (log != nullptr && log->enabled(obs::LogLevel::kInfo))
-    log->info("refine.summary",
-              net::format("refined %zu region(s): removed %zu "
-                          "EdgeCO->EdgeCO edge(s), added %zu ring "
-                          "edge(s), kept %zu small AggCO(s)",
-                          regions.size(), stats.edge_edges_removed,
-                          stats.ring_edges_added, stats.small_aggs_kept));
-  return stats;
 }
 
 RefineStats refine_regions(std::map<std::string, RegionalGraph>& regions,

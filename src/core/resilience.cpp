@@ -19,8 +19,7 @@ std::set<std::string> root_cos(const RegionalGraph& graph) {
   for (const auto& [entry, info] : graph.region_entries)
     roots.insert(info.second.begin(), info.second.end());
   if (!roots.empty()) return roots;
-  // Parentless AggCOs via reverse-CSR rows instead of the facade's
-  // O(V*E) parents_of scan per AggCO.
+  // Parentless AggCOs: one reverse-CSR row lookup per AggCO.
   const auto csr = CsrGraph::from_regional(graph);
   for (const auto& agg : graph.agg_cos) {
     const auto id = csr.id_of(agg);
