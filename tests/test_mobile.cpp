@@ -2,6 +2,7 @@
 // inference, parameterized over all three carriers.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/mobile_pipeline.hpp"
@@ -17,6 +18,10 @@ struct CarrierCase {
   topo::MobileProfile (*profile)();
   double signal;
 };
+
+// Names the case in test ids; gtest would otherwise print the struct's
+// raw bytes, pointers included, and the ids would change between builds.
+void PrintTo(const CarrierCase& cc, std::ostream* os) { *os << cc.name; }
 
 const CarrierCase kCarriers[] = {
     {"att-mobile", topo::att_mobile_profile, 0.89},
