@@ -54,7 +54,13 @@ bool Server::start(std::string* error) {
 
 void Server::stop() {
   if (!started_) return;
-  stopping_.store(true, std::memory_order_relaxed);
+  {
+    // Set the flag under the queue lock: a worker that has just found the
+    // wait predicate false still holds the lock, so it cannot miss the
+    // notification below and sleep forever.
+    const std::lock_guard lock{queue_mutex_};
+    stopping_.store(true, std::memory_order_relaxed);
+  }
   queue_cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& worker : workers_)

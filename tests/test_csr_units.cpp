@@ -1,7 +1,7 @@
 // Unit tests for the dense-kernel building blocks in isolation: the
 // string interner, the CSR graph (round-trip, tombstoning, reverse rows,
 // side additions), and the one-pass corpus index (counts, transit
-// accounting, sequence numbers, legacy iteration order).
+// accounting, sequence numbers, sorted export order).
 #include <gtest/gtest.h>
 
 #include "core/corpus_index.hpp"
@@ -161,7 +161,7 @@ TEST(CorpusIndex, MatchesConsecutivePairsSemantics) {
   for (const auto& record : index.pairs()) unique_occurrences += record.count;
   EXPECT_EQ(unique_occurrences, all.size());
   ASSERT_EQ(index.pairs().size(), 2u);  // (1->5), (5->9)
-  // Sorted by (a, b): legacy std::map iteration order.
+  // Exported sorted by (a, b).
   EXPECT_EQ(index.pairs()[0].a, ip("10.0.0.1"));
   EXPECT_EQ(index.pairs()[0].b, ip("10.0.0.5"));
   EXPECT_EQ(index.pairs()[0].count, 2u);
