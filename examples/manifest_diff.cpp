@@ -9,7 +9,9 @@
 // exposition scrapes of one live daemon must parse and every monotonic
 // series (counters, histogram buckets/sums/counts) must be >= its
 // earlier value — the delta/reset-free scrape contract. Exit code 0 =
-// gate passes, 1 = drift detected, 2 = bad usage or unreadable input.
+// gate passes, 1 = drift detected, 2 = bad usage or unreadable input,
+// 3 = --bench exports from different host classes (num_cpus, build_type
+// or library_build_type differ): incomparable, so neither pass nor fail.
 //
 //   manifest_diff before_manifest.json after_manifest.json
 //   manifest_diff --bench --slowdown 0.5 before_bench.json after_bench.json
@@ -203,5 +205,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!report.comparable()) return 3;
   return report.gate_ok() ? 0 : 1;
 }

@@ -144,6 +144,23 @@ DiffReport diff_manifests(const JsonValue& before, const JsonValue& after,
 DiffReport diff_bench(const JsonValue& before, const JsonValue& after,
                       const BenchDiffOptions& options) {
   DiffReport report;
+  // Timings from another CPU count or build type say nothing about a
+  // change, so a host-class mismatch stops the comparison here.
+  for (const char* field : {"num_cpus", "build_type", "library_build_type"}) {
+    const auto side = [field](const JsonValue& doc) {
+      const auto* context = doc.find("context");
+      const auto* value = context != nullptr ? context->find(field) : nullptr;
+      return value != nullptr ? render(*value) : std::string{"<absent>"};
+    };
+    auto left = side(before);
+    auto right = side(after);
+    if (left == right) continue;
+    ++report.host_class_differences;
+    report.differences.push_back(
+        DiffEntry{std::string{"context."} + field, DiffEntry::Kind::kHostClass,
+                  std::move(left), std::move(right), false});
+  }
+  if (!report.comparable()) return report;
   std::optional<std::regex> filter;
   if (!options.name_filter.empty())
     filter.emplace(options.name_filter, std::regex::ECMAScript);
@@ -193,16 +210,23 @@ DiffReport diff_bench(const JsonValue& before, const JsonValue& after,
 }
 
 std::string DiffReport::text() const {
-  std::string out = net::format(
-      "%llu paths compared, %llu deterministic difference(s), "
-      "%llu volatile value(s) out of tolerance -> %s\n",
-      static_cast<unsigned long long>(paths_compared),
-      static_cast<unsigned long long>(deterministic_differences),
-      static_cast<unsigned long long>(volatile_out_of_tolerance),
-      gate_ok() ? "OK" : "FAIL");
+  std::string out =
+      comparable()
+          ? net::format(
+                "%llu paths compared, %llu deterministic difference(s), "
+                "%llu volatile value(s) out of tolerance -> %s\n",
+                static_cast<unsigned long long>(paths_compared),
+                static_cast<unsigned long long>(deterministic_differences),
+                static_cast<unsigned long long>(volatile_out_of_tolerance),
+                gate_ok() ? "OK" : "FAIL")
+          : net::format("%llu host-class field(s) differ, timings not "
+                        "compared -> INCOMPARABLE\n",
+                        static_cast<unsigned long long>(
+                            host_class_differences));
   for (const auto& entry : differences) {
     const char* tag =
-        entry.kind == DiffEntry::Kind::kDeterministic
+        entry.kind == DiffEntry::Kind::kHostClass ? "HOST-CLASS   "
+        : entry.kind == DiffEntry::Kind::kDeterministic
             ? "DETERMINISTIC"
             : (entry.within_tolerance ? "volatile     " : "VOLATILE-OOT ");
     out += net::format("  [%s] %s: %s -> %s\n", tag, entry.path.c_str(),
@@ -215,6 +239,7 @@ std::string DiffReport::to_json() const {
   net::JsonWriter json;
   json.begin_object();
   json.key("gate_ok").value(gate_ok());
+  json.key("comparable").value(comparable());
   json.key("paths_compared").value(paths_compared);
   json.key("deterministic_differences").value(deterministic_differences);
   json.key("volatile_out_of_tolerance").value(volatile_out_of_tolerance);
@@ -222,9 +247,10 @@ std::string DiffReport::to_json() const {
   for (const auto& entry : differences) {
     json.begin_object();
     json.key("path").value(entry.path);
-    json.key("kind").value(entry.kind == DiffEntry::Kind::kDeterministic
-                               ? "deterministic"
-                               : "volatile");
+    json.key("kind").value(
+        entry.kind == DiffEntry::Kind::kHostClass       ? "host_class"
+        : entry.kind == DiffEntry::Kind::kDeterministic ? "deterministic"
+                                                        : "volatile");
     json.key("left").value(entry.left);
     json.key("right").value(entry.right);
     if (entry.kind == DiffEntry::Kind::kVolatile)

@@ -14,7 +14,9 @@
 //
 // diff_bench() applies the same report machinery to two google-benchmark
 // JSON exports, matching benchmarks by name and gating on relative
-// real_time slowdown.
+// real_time slowdown — but only when both exports come from the same host
+// class (context.num_cpus, build_type, library_build_type). Otherwise the
+// timings are not compared and the report is incomparable, never a pass.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,7 @@ struct DiffEntry {
   enum class Kind {
     kDeterministic,  ///< exact-compare path: any difference fails the gate
     kVolatile,       ///< tolerance-compare path
+    kHostClass,      ///< diff_bench: a host-class context field differs
   };
 
   std::string path;  ///< dotted path, arrays indexed ("stages.children[2]")
@@ -68,11 +71,16 @@ struct DiffReport {
   std::uint64_t paths_compared = 0;
   std::uint64_t deterministic_differences = 0;
   std::uint64_t volatile_out_of_tolerance = 0;
+  std::uint64_t host_class_differences = 0;
 
-  /// The CI verdict: no deterministic drift and all volatile movement
-  /// within tolerance.
+  /// False when diff_bench() found the two exports on different host
+  /// classes: nothing else was compared.
+  [[nodiscard]] bool comparable() const { return host_class_differences == 0; }
+  /// The CI verdict: comparable, no deterministic drift and all volatile
+  /// movement within tolerance.
   [[nodiscard]] bool gate_ok() const {
-    return deterministic_differences == 0 && volatile_out_of_tolerance == 0;
+    return comparable() && deterministic_differences == 0 &&
+           volatile_out_of_tolerance == 0;
   }
 
   /// Human-readable multi-line summary (stable ordering).
@@ -86,10 +94,13 @@ struct DiffReport {
                                         const net::JsonValue& after,
                                         const DiffOptions& options = {});
 
-/// Diffs two google-benchmark JSON exports: benchmarks are matched by
-/// "name"; a benchmark present on one side only is a deterministic
-/// difference, and real_time slowdowns beyond the threshold fail the
-/// gate. Context blocks are not compared (machine-specific).
+/// Diffs two google-benchmark JSON exports. First the host class: any
+/// difference in context.num_cpus, context.build_type or
+/// context.library_build_type (absent counts as a value) is recorded as a
+/// kHostClass entry and ends the comparison. Otherwise benchmarks are
+/// matched by "name"; a benchmark present on one side only is a
+/// deterministic difference, and real_time slowdowns beyond the threshold
+/// fail the gate. The rest of the context is not compared.
 [[nodiscard]] DiffReport diff_bench(const net::JsonValue& before,
                                     const net::JsonValue& after,
                                     const BenchDiffOptions& options = {});

@@ -8,18 +8,8 @@
 
 namespace ran::obs {
 
-namespace {
-
-std::uint64_t next_recorder_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : id_(next_recorder_id()),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       epoch_(std::chrono::steady_clock::now()) {
   if (config_.capacity == 0) config_.capacity = 1;
 }
@@ -31,51 +21,32 @@ std::uint64_t FlightRecorder::now_us() const {
           .count());
 }
 
-FlightRecorder::ThreadBuffer& FlightRecorder::local() {
-  // Same id-keyed thread-local cache as Tracer::local(): never matches a
-  // stale entry after this recorder dies, move-to-front keeps the hot
-  // recorder O(1).
-  thread_local std::vector<std::pair<std::uint64_t, ThreadBuffer*>> cache;
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].first != id_) continue;
-    if (i != 0) std::swap(cache[0], cache[i]);
-    return *cache[0].second;
-  }
-  const std::lock_guard lock{mutex_};
-  buffers_.push_back(std::make_unique<ThreadBuffer>());
-  auto& buffer = *buffers_.back();
-  buffer.tid = static_cast<std::uint32_t>(buffers_.size());
-  buffer.ring.resize(config_.capacity);
-  for (auto& slot : buffer.ring) {
-    slot.request.reserve(config_.max_request_chars);
-    slot.op.reserve(16);
-    slot.reason.reserve(16);
-  }
-  if (cache.size() >= 64) cache.pop_back();
-  cache.insert(cache.begin(), {id_, &buffer});
-  return buffer;
-}
-
 void FlightRecorder::record(std::uint64_t rid, std::string_view request,
                             std::string_view op, std::string_view reason,
                             std::uint64_t latency_us, bool is_error) {
-  auto& buffer = local();
+  auto& ring = rings_.local([this](Ring& fresh) {
+    fresh.slots.resize(config_.capacity);
+    for (auto& slot : fresh.slots) {
+      slot.request.reserve(config_.max_request_chars);
+      slot.op.reserve(16);
+      slot.reason.reserve(16);
+    }
+  });
   if (request.size() > config_.max_request_chars)
     request = request.substr(0, config_.max_request_chars);
   {
     // Uncontended except while a dump copies this ring: the owner thread
     // is the only other party that ever takes this mutex.
-    const std::lock_guard lock{buffer.mutex};
-    FlightRecord& slot = buffer.ring[buffer.next];
+    const std::lock_guard lock{ring.mutex};
+    FlightRecord& slot = ring.slots[ring.next];
     slot.rid = rid;
     slot.ts_us = now_us();
-    slot.tid = buffer.tid;
     slot.latency_us = latency_us;
     slot.request.assign(request);
     slot.op.assign(op);
     slot.reason.assign(reason);
-    buffer.next = (buffer.next + 1) % config_.capacity;
-    if (buffer.filled < config_.capacity) ++buffer.filled;
+    ring.next = (ring.next + 1) % config_.capacity;
+    if (ring.filled < config_.capacity) ++ring.filled;
   }
   total_.fetch_add(1, std::memory_order_relaxed);
   if (is_error) note_error();
@@ -109,15 +80,14 @@ void FlightRecorder::note_error() {
 
 std::vector<FlightRecord> FlightRecorder::last_records() const {
   std::vector<FlightRecord> records;
-  {
-    const std::lock_guard lock{mutex_};
-    for (const auto& buffer : buffers_) {
-      const std::lock_guard ring_lock{buffer->mutex};
-      records.reserve(records.size() + buffer->filled);
-      for (std::size_t i = 0; i < buffer->filled; ++i)
-        records.push_back(buffer->ring[i]);
+  rings_.for_each([&records](std::uint32_t tid, const Ring& ring) {
+    const std::lock_guard lock{ring.mutex};
+    records.reserve(records.size() + ring.filled);
+    for (std::size_t i = 0; i < ring.filled; ++i) {
+      records.push_back(ring.slots[i]);
+      records.back().tid = tid;
     }
-  }
+  });
   std::sort(records.begin(), records.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
               return a.rid < b.rid;

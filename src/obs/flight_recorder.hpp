@@ -5,16 +5,16 @@
 // operator needs when a long-lived `ran_serve` misbehaves and the
 // interesting traffic is already gone from any log.
 //
-// Concurrency model, next to Tracer/Log's joined-threads export rule:
-// the recorder must dump LIVE (SIGUSR1, the admin `dump` op, an
-// error-burst trigger fire while workers keep serving), so each
-// per-thread ring carries its own mutex. The hot path locks only the
-// calling thread's mutex — uncontended except during the rare instant a
-// dump copies that ring, so recording stays contention-free between
-// workers and never blocks on another thread's work. Rings are
-// fixed-size at construction; recording never allocates after a
-// thread's first record (request strings are copied into preallocated
-// slots, truncated to max_request_chars).
+// Concurrency model: rings are obs::PerThread buffers (per_thread.hpp),
+// but unlike Tracer/Log, which export after the join, the recorder must
+// dump LIVE (SIGUSR1, the admin `dump` op, an error-burst trigger fire
+// while workers keep serving), so each ring carries its own mutex. The
+// hot path locks only the calling thread's mutex — uncontended except
+// during the rare instant a dump copies that ring, so recording stays
+// contention-free between workers and never blocks on another thread's
+// work. Rings are fixed-size at registration; recording never allocates
+// after a thread's first record (request strings are copied into
+// preallocated slots, truncated to max_request_chars).
 //
 // Determinism contract: the canonical dump (include_volatile=false) is
 // the global last-N records ordered by request id, each serialized as
@@ -31,11 +31,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "per_thread.hpp"
 
 namespace ran::obs {
 
@@ -104,23 +105,19 @@ class FlightRecorder {
   }
 
  private:
-  struct ThreadBuffer {
+  struct Ring {
     mutable std::mutex mutex;  ///< taken by the owner per record and by dumps
-    std::uint32_t tid = 0;
-    std::vector<FlightRecord> ring;  ///< capacity slots, preallocated
-    std::size_t next = 0;            ///< ring cursor
-    std::uint64_t filled = 0;        ///< records written (caps at capacity)
+    std::vector<FlightRecord> slots;  ///< capacity slots, preallocated
+    std::size_t next = 0;             ///< ring cursor
+    std::uint64_t filled = 0;         ///< records written (caps at capacity)
   };
 
-  ThreadBuffer& local();
   void note_error();
   [[nodiscard]] std::uint64_t now_us() const;
 
-  const std::uint64_t id_;  ///< process-unique, for the thread-local cache
   FlightRecorderConfig config_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;  ///< guards buffer registration only
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  PerThread<Ring> rings_;
   std::atomic<std::uint64_t> total_{0};
 
   /// Error-burst window (1-slot sliding): current window ordinal + error

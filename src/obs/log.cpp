@@ -1,11 +1,11 @@
 #include "log.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <unordered_map>
 
 #include "netbase/json.hpp"
 
@@ -21,75 +21,42 @@ std::string_view to_string(LogLevel level) {
   return "info";
 }
 
-namespace {
-
-std::uint64_t next_log_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
+struct Log::ThreadBuffer {
+  std::vector<LogRecord> records;
+  /// Site states this thread has used, by site pointer.
+  std::unordered_map<const char*, SiteState*> sites;
+};
 
 Log::Log(LogConfig config)
-    : id_(next_log_id()),
-      config_(std::move(config)),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : config_(std::move(config)), epoch_(std::chrono::steady_clock::now()) {}
 
 Log::~Log() {
   if (!config_.jsonl_path.empty()) flush();
 }
 
-Log::ThreadBuffer& Log::local() {
-  // Same id-keyed thread-local cache as Tracer::local(): a new Log
-  // allocated where a destroyed one lived must not hit a stale entry.
-  thread_local std::vector<std::pair<std::uint64_t, ThreadBuffer*>> cache;
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].first != id_) continue;
-    if (i != 0) std::swap(cache[0], cache[i]);
-    return *cache[0].second;
-  }
-  const std::lock_guard lock{mutex_};
-  buffers_.push_back(std::make_unique<ThreadBuffer>());
-  auto& buffer = *buffers_.back();
-  buffer.tid = static_cast<std::uint32_t>(buffers_.size());
-  if (cache.size() >= 64) cache.pop_back();
-  cache.insert(cache.begin(), {id_, &buffer});
-  return buffer;
-}
-
-Log::SiteState& Log::site_state(const char* site) {
-  thread_local std::vector<std::tuple<std::uint64_t, const char*,
-                                      SiteState*>> cache;
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (std::get<0>(cache[i]) != id_ || std::get<1>(cache[i]) != site)
-      continue;
-    if (i != 0) std::swap(cache[0], cache[i]);
-    return *std::get<2>(cache[0]);
-  }
-  const std::lock_guard lock{mutex_};
+Log::SiteState& Log::site_state(ThreadBuffer& buffer, const char* site) {
+  SiteState*& cached = buffer.sites[site];
+  if (cached != nullptr) return *cached;
+  const std::lock_guard lock{sites_mutex_};
   // Intern by text, not pointer: two literals with equal spelling (or the
   // same literal deduplicated differently across TUs) share one cap.
-  SiteState* state = nullptr;
   for (const auto& existing : sites_)
     if (std::strcmp(existing->site, site) == 0) {
-      state = existing.get();
-      break;
+      cached = existing.get();
+      return *cached;
     }
-  if (state == nullptr) {
-    sites_.push_back(std::make_unique<SiteState>());
-    state = sites_.back().get();
-    state->site = site;
-  }
-  if (cache.size() >= 128) cache.pop_back();
-  cache.insert(cache.begin(), {id_, site, state});
-  return *state;
+  sites_.push_back(std::make_unique<SiteState>());
+  cached = sites_.back().get();
+  cached->site = site;
+  return *cached;
 }
 
 void Log::log(LogLevel level, const char* site, std::string_view message) {
   if (!enabled(level)) return;
   counts_by_level_[static_cast<int>(level)].fetch_add(
       1, std::memory_order_relaxed);
-  auto& state = site_state(site);
+  auto& buffer = buffers_.local();
+  auto& state = site_state(buffer, site);
   const auto admitted =
       state.accepted.fetch_add(1, std::memory_order_relaxed);
   if (config_.per_site_limit != 0 && admitted >= config_.per_site_limit) {
@@ -103,7 +70,6 @@ void Log::log(LogLevel level, const char* site, std::string_view message) {
                  std::string{to_string(level)}.c_str(), site,
                  static_cast<int>(message.size()), message.data());
   }
-  auto& buffer = local();
   if (!buffer.records.empty()) {
     auto& last = buffer.records.back();
     if (last.level == level && std::strcmp(last.site, site) == 0 &&
@@ -115,7 +81,6 @@ void Log::log(LogLevel level, const char* site, std::string_view message) {
   LogRecord record;
   record.level = level;
   record.ts_us = now_us();
-  record.tid = buffer.tid;
   record.seq = buffer.records.size();
   record.site = site;
   record.message.assign(message);
@@ -128,7 +93,7 @@ std::uint64_t Log::count(LogLevel level) const {
 }
 
 std::uint64_t Log::suppressed(std::string_view site) const {
-  const std::lock_guard lock{mutex_};
+  const std::lock_guard lock{sites_mutex_};
   std::uint64_t total = 0;
   for (const auto& state : sites_)
     if (site == state->site)
@@ -137,7 +102,7 @@ std::uint64_t Log::suppressed(std::string_view site) const {
 }
 
 std::uint64_t Log::suppressed_total() const {
-  const std::lock_guard lock{mutex_};
+  const std::lock_guard lock{sites_mutex_};
   std::uint64_t total = 0;
   for (const auto& state : sites_)
     total += state->suppressed.load(std::memory_order_relaxed);
@@ -146,11 +111,12 @@ std::uint64_t Log::suppressed_total() const {
 
 std::vector<LogRecord> Log::merged() const {
   std::vector<LogRecord> out;
-  {
-    const std::lock_guard lock{mutex_};
-    for (const auto& buffer : buffers_)
-      for (const auto& record : buffer->records) out.push_back(record);
-  }
+  buffers_.for_each([&out](std::uint32_t tid, const ThreadBuffer& buffer) {
+    for (const auto& record : buffer.records) {
+      out.push_back(record);
+      out.back().tid = tid;
+    }
+  });
   // Deterministic merge: identical buffer contents always produce
   // identical order, whatever order threads registered or finished in.
   std::sort(out.begin(), out.end(),
@@ -188,7 +154,7 @@ std::string Log::to_jsonl() const {
   // site order (deterministic given the same accounting).
   std::map<std::string_view, std::uint64_t> suppressed_by_site;
   {
-    const std::lock_guard lock{mutex_};
+    const std::lock_guard lock{sites_mutex_};
     for (const auto& state : sites_) {
       const auto n = state->suppressed.load(std::memory_order_relaxed);
       if (n > 0) suppressed_by_site[state->site] += n;

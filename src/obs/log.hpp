@@ -4,9 +4,8 @@
 // desertsw: ring completion found no second AggCO" — with a level, a
 // stable site id, and a human message.
 //
-// Design mirrors obs::Tracer: each thread appends to its own buffer
-// without synchronization (the only lock is per-(thread, log)
-// registration and export), and buffers are merged in a fixed
+// Each thread appends to its own obs::PerThread buffer (per_thread.hpp)
+// without synchronization, and buffers are merged in a fixed
 // (ts, tid, seq) order so the same buffer contents always serialize to
 // the same bytes. On top of that the log adds:
 //   * per-site rate limiting — a global (cross-thread) cap on records
@@ -37,6 +36,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "per_thread.hpp"
 
 namespace ran::obs {
 
@@ -129,10 +130,7 @@ class Log {
   bool flush();
 
  private:
-  struct ThreadBuffer {
-    std::uint32_t tid = 0;
-    std::vector<LogRecord> records;
-  };
+  struct ThreadBuffer;  ///< records + site cache; defined in log.cpp
   struct SiteState {
     const char* site = "";
     /// Records accepted for this site across all threads (exact; adds
@@ -142,10 +140,9 @@ class Log {
     std::atomic<std::uint64_t> suppressed{0};
   };
 
-  ThreadBuffer& local();
-  /// The interned state for a site id (registered under the lock on a
-  /// thread's first use of the site, cached thread-locally afterwards).
-  SiteState& site_state(const char* site);
+  /// The interned state for a site id (registered under sites_mutex_ on
+  /// a thread's first use of the site, cached in its buffer afterwards).
+  SiteState& site_state(ThreadBuffer& buffer, const char* site);
   [[nodiscard]] std::uint64_t now_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -153,13 +150,12 @@ class Log {
             .count());
   }
 
-  const std::uint64_t id_;  ///< process-unique, for the thread-local cache
   LogConfig config_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  PerThread<ThreadBuffer> buffers_;
   /// Site ids are interned by text under the lock on first use; the hot
   /// path then runs on cached pointers and relaxed atomics only.
+  mutable std::mutex sites_mutex_;
   std::vector<std::unique_ptr<SiteState>> sites_;
   std::atomic<std::uint64_t> counts_by_level_[4] = {};
 };

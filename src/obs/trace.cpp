@@ -1,61 +1,29 @@
 #include "trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 
 #include "netbase/json.hpp"
 
 namespace ran::obs {
 
-namespace {
-
-std::uint64_t next_tracer_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-Tracer::Tracer()
-    : id_(next_tracer_id()), epoch_(std::chrono::steady_clock::now()) {}
-
-Tracer::ThreadBuffer& Tracer::local() {
-  // Keyed by the process-unique tracer id, not the address: a new tracer
-  // allocated where a destroyed one lived must not hit a stale entry (a
-  // dead tracer's id never recurs, so its entries are never matched or
-  // dereferenced again). Move-to-front keeps the hot tracer O(1); the cap
-  // bounds a thread that touches many tracers over its lifetime.
-  thread_local std::vector<std::pair<std::uint64_t, ThreadBuffer*>> cache;
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].first != id_) continue;
-    if (i != 0) std::swap(cache[0], cache[i]);
-    return *cache[0].second;
-  }
-  const std::lock_guard lock{mutex_};
-  buffers_.push_back(std::make_unique<ThreadBuffer>());
-  auto& buffer = *buffers_.back();
-  buffer.tid = static_cast<std::uint32_t>(buffers_.size());
-  if (cache.size() >= 64) cache.pop_back();
-  cache.insert(cache.begin(), {id_, &buffer});
-  return buffer;
-}
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 void Tracer::record(char phase, std::string_view name,
                     const char* category, std::uint64_t value,
                     std::uint64_t ts_back_us) {
-  auto& buffer = local();
+  auto& events = buffers_.local();
   TraceEvent event;
   event.phase = phase;
   const auto now = now_us();
   // Backdated events ('X' lock waits end now but span the wait) clamp at
   // the epoch so timestamps stay non-negative.
   event.ts_us = now >= ts_back_us ? now - ts_back_us : 0;
-  event.seq = buffer.events.size();
+  event.seq = events.size();
   event.value = value;
   event.name.assign(name);
   event.category = category;
-  buffer.events.push_back(std::move(event));
+  events.push_back(std::move(event));
 }
 
 void Tracer::begin(std::string_view name, const char* category) {
@@ -79,15 +47,14 @@ void Tracer::counter(std::string_view name, std::uint64_t value,
 }
 
 void Tracer::reset() {
-  const std::lock_guard lock{mutex_};
-  for (auto& buffer : buffers_) buffer->events.clear();
+  buffers_.for_each([](std::uint32_t, Events& events) { events.clear(); });
   epoch_ = std::chrono::steady_clock::now();
 }
 
 std::size_t Tracer::event_count() const {
-  const std::lock_guard lock{mutex_};
   std::size_t n = 0;
-  for (const auto& buffer : buffers_) n += buffer->events.size();
+  buffers_.for_each(
+      [&n](std::uint32_t, const Events& events) { n += events.size(); });
   return n;
 }
 
@@ -97,12 +64,9 @@ std::string Tracer::to_chrome_json() const {
     std::uint32_t tid;
   };
   std::vector<Row> rows;
-  {
-    const std::lock_guard lock{mutex_};
-    for (const auto& buffer : buffers_)
-      for (const auto& event : buffer->events)
-        rows.push_back({&event, buffer->tid});
-  }
+  buffers_.for_each([&rows](std::uint32_t tid, const Events& events) {
+    for (const auto& event : events) rows.push_back({&event, tid});
+  });
   // Deterministic merge: identical buffer contents always produce
   // identical bytes, whatever order threads registered or finished in.
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {

@@ -12,18 +12,18 @@
 // Cost model: a null Tracer* is the off switch — instrumented code does a
 // single pointer test and nothing else (the BM_CampaignTraced benchmark
 // holds the disabled path to <2% on campaign throughput). When enabled,
-// each thread appends to its own buffer without synchronization; the only
-// lock is taken once per (thread, tracer) registration and once more at
-// export, which must happen after worker threads have joined.
+// each thread appends to its own obs::PerThread buffer (per_thread.hpp)
+// without synchronization; export takes the registration lock and must
+// happen after worker threads have joined.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "per_thread.hpp"
 
 namespace ran::obs {
 
@@ -86,14 +86,8 @@ class Tracer {
   bool write_file(const std::string& path) const;
 
  private:
-  struct ThreadBuffer {
-    std::uint32_t tid = 0;
-    std::vector<TraceEvent> events;
-  };
+  using Events = std::vector<TraceEvent>;  ///< one thread's timeline
 
-  /// The calling thread's buffer, registered under the tracer's lock on
-  /// first use and cached thread-locally afterwards.
-  ThreadBuffer& local();
   void record(char phase, std::string_view name, const char* category,
               std::uint64_t value = 0, std::uint64_t ts_back_us = 0);
   [[nodiscard]] std::uint64_t now_us() const {
@@ -103,10 +97,8 @@ class Tracer {
             .count());
   }
 
-  const std::uint64_t id_;  ///< process-unique, for the thread-local cache
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  PerThread<Events> buffers_;
 };
 
 /// RAII span: begin at construction, end at destruction. A null tracer

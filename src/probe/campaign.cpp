@@ -59,9 +59,7 @@ CampaignRunner::CampaignRunner(const sim::World& world,
     : engine_(world, config.trace, config.metrics),
       threads_(resolve_threads(config.parallelism)),
       metrics_(config.metrics),
-      trace_sample_(config.trace_sample) {
-  agg_mutex_.attach(metrics_, "campaign.result_agg");
-}
+      trace_sample_(config.trace_sample) {}
 
 std::vector<TraceRecord> CampaignRunner::run(
     std::span<const ProbeTask> tasks) const {
@@ -78,17 +76,13 @@ std::vector<TraceRecord> CampaignRunner::run(
   std::vector<TraceRecord> out(tasks.size());
   // Per-worker busy time; each worker only touches its own slot.
   std::vector<double> busy_ms(static_cast<std::size_t>(threads_), 0.0);
-  // Batch-outcome accounting: workers tally reached/silent per shard into
-  // their own slot, then merge into the shared totals under the
-  // instrumented agg_mutex_ at shard boundaries. Sums commute, so the
-  // totals (and the canonical log view below) stay byte-stable at any
-  // thread count — but the merge is real shared-state traffic, which is
-  // the point: result-aggregation contention becomes measurable.
+  // Batch-outcome accounting: workers tally reached/silent into their
+  // own slot, summed after the join. Sums commute, so the totals (and the
+  // canonical log view below) stay byte-stable at any thread count.
   struct BatchTally {
     std::size_t reached = 0;
     std::size_t silent = 0;
   };
-  BatchTally total;
   std::vector<BatchTally> partial(static_cast<std::size_t>(threads_));
   // Per-worker cumulative task counts, published as per-thread 'C'
   // counter events at shard ends while tracing — task throughput lands
@@ -128,12 +122,6 @@ std::vector<TraceRecord> CampaignRunner::run(
       for (const auto& hop : record.hops) any = any || hop.responded();
       partial[w].silent += !any;
       tasks_done[w] += 1;
-      if (shard_end) {
-        const std::lock_guard lock{agg_mutex_};
-        total.reached += partial[w].reached;
-        total.silent += partial[w].silent;
-        partial[w] = {};
-      }
     }
     if (tracer != nullptr) {
       if (trace_sample_ > 0 &&
@@ -185,8 +173,12 @@ std::vector<TraceRecord> CampaignRunner::run(
   // only on the (deterministic) trace results, never on scheduling — the
   // canonical log view stays byte-stable at any thread count.
   if (log != nullptr && !tasks.empty()) {
-    const std::size_t reached = total.reached;
-    const std::size_t silent = total.silent;
+    std::size_t reached = 0;
+    std::size_t silent = 0;
+    for (const auto& worker_tally : partial) {
+      reached += worker_tally.reached;
+      silent += worker_tally.silent;
+    }
     if (silent == out.size())
       log->warn("campaign.batch",
                 net::format("campaign batch of %zu probe(s) saw no "

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timed_mutex.hpp"
 #include "traceroute.hpp"
 
 namespace ran::probe {
@@ -95,12 +94,6 @@ class CampaignRunner {
   int threads_;
   obs::Registry* metrics_;
   int trace_sample_;
-  /// Guards the shared batch-outcome totals workers merge into at shard
-  /// boundaries. Instrumented (site `campaign.result_agg`) when the
-  /// config carries a registry, so result-aggregation contention shows
-  /// up next to the route cache's in lock-wait reports. mutable: run()
-  /// is const, and the aggregate totals are observability, not results.
-  mutable obs::TimedMutex agg_mutex_;
 };
 
 }  // namespace ran::probe

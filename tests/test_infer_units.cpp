@@ -14,6 +14,7 @@
 #include "core/refine.hpp"
 #include "core/corpus_io.hpp"
 #include "core/resilience.hpp"
+#include "obs/provenance.hpp"
 
 namespace ran::infer {
 namespace {
@@ -152,6 +153,40 @@ TEST(CoMapping, P2pNeedsStrictMajorityToOverturnRdns) {
       build_co_mapping(addrs, adj, 30, rdns.sources(), RouterClusters{});
   EXPECT_EQ(result.stats.p2p_changed, 0u);
   EXPECT_EQ(result.map.get(ip("10.0.9.9"))->co_key, "worcester|ma|0");
+}
+
+TEST(CoMapping, P2pExemplarIsTheWinningVoteSeenLastInCorpusOrder) {
+  // Stale rDNS names one CO under two regions: every mate vote agrees on
+  // the co_key, but the annotations differ. The exemplar x inherits must
+  // be the winning vote with the highest last_seq, whichever side of the
+  // address order it sits on.
+  const FixtureRdns rdns{{
+      {"10.0.0.2", "agg1.boston.ma.boston.comcast.net"},
+      {"10.0.0.6", "agg1.boston.ma.worcester.comcast.net"},
+  }};
+  const std::vector<net::IPv4Address> addrs{
+      ip("10.0.8.8"), ip("10.0.9.9"), ip("10.0.0.1"), ip("10.0.0.5")};
+  const std::vector<WeightedAdjacency> adj{
+      // 10.0.8.8: the boston-named mate is first in address order and
+      // seen last in the corpus.
+      {ip("10.0.8.8"), ip("10.0.0.1"), 1, 4},
+      {ip("10.0.8.8"), ip("10.0.0.5"), 1, 3},
+      // 10.0.9.9: the worcester-named mate is last on both counts.
+      {ip("10.0.9.9"), ip("10.0.0.1"), 1, 1},
+      {ip("10.0.9.9"), ip("10.0.0.5"), 1, 2},
+  };
+  const auto result =
+      build_co_mapping(addrs, adj, 30, rdns.sources(), RouterClusters{});
+  EXPECT_EQ(result.stats.p2p_added, 2u);
+  const auto* first = result.map.get(ip("10.0.8.8"));
+  const auto* second = result.map.get(ip("10.0.9.9"));
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(first->co_key, "boston|ma|0");
+  EXPECT_EQ(first->region, "boston");
+  EXPECT_EQ(second->co_key, "boston|ma|0");
+  EXPECT_EQ(second->region, "worcester");
+  EXPECT_FALSE(second->from_rdns);
 }
 
 TEST(DetectP2pLen, SeparatesSlash30FromSlash31) {
@@ -453,6 +488,43 @@ TEST(Refine, ForeignRegionEntriesAreRecordedSeparately) {
   ASSERT_TRUE(regions.at("ct").region_entries.contains("MAGG"));
   EXPECT_EQ(regions.at("ct").region_entries.at("MAGG").first, "boston");
   EXPECT_TRUE(regions.at("ct").backbone_entries.empty());
+}
+
+TEST(Refine, EntryKindComesFromTheTripletSeenLastInCorpusOrder) {
+  // One entry CO answers from two addresses whose rDNS disagrees: one
+  // names it a backbone router, the other a router of region "boston".
+  // The triplet with the highest last_seq decides the entry's kind, in
+  // either address order.
+  const auto corpus = corpus_of({
+      {"10.0.1.2", "10.0.0.1", "10.0.0.5"},  // X as backbone (earlier)
+      {"10.0.1.1", "10.0.0.1", "10.0.0.5"},  // X as boston (later)
+      {"10.0.2.1", "10.0.0.1", "10.0.0.5"},  // Y as boston (earlier)
+      {"10.0.2.2", "10.0.0.1", "10.0.0.5"},  // Y as backbone (later)
+  });
+  const auto map = map_of({{"10.0.1.1", "X", "boston", false},
+                           {"10.0.1.2", "X", "", true},
+                           {"10.0.2.1", "Y", "boston", false},
+                           {"10.0.2.2", "Y", "", true},
+                           {"10.0.0.1", "AGG", "r", false},
+                           {"10.0.0.5", "E1", "r", false}});
+  std::map<std::string, RegionalGraph> regions;
+  regions["r"].region = "r";
+  obs::ProvenanceLog provenance;
+  infer_entry_points(CorpusIndex::build(corpus), map, regions, &provenance);
+  const auto& graph = regions.at("r");
+  // X: the later triplet is first in address order.
+  ASSERT_TRUE(graph.region_entries.contains("X"));
+  EXPECT_EQ(graph.region_entries.at("X").first, "boston");
+  EXPECT_FALSE(graph.backbone_entries.contains("X"));
+  // Y: the later triplet is last in address order.
+  EXPECT_TRUE(graph.backbone_entries.contains("Y"));
+  EXPECT_FALSE(graph.region_entries.contains("Y"));
+  // The provenance rule follows the same choice.
+  const auto& rules = provenance.rule_counts();
+  ASSERT_TRUE(rules.contains("entry.region"));
+  ASSERT_TRUE(rules.contains("entry.backbone"));
+  EXPECT_EQ(rules.at("entry.region").kept, 1u);
+  EXPECT_EQ(rules.at("entry.backbone").kept, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -281,6 +281,55 @@ TEST(BenchDiff, BenchmarkPresentOnOneSideOnlyIsDeterministicDrift) {
   EXPECT_GE(report.deterministic_differences, 1u);
 }
 
+TEST(BenchDiff, SameHostClassComparesTheTimings) {
+  const auto before = parse(R"({
+    "context": {"num_cpus": 4, "build_type": "Release",
+                "library_build_type": "release", "host_name": "a"},
+    "benchmarks": [{"name": "BM_Traceroute", "real_time": 100.0}]})");
+  const auto slower = parse(R"({
+    "context": {"num_cpus": 4, "build_type": "Release",
+                "library_build_type": "release", "host_name": "b"},
+    "benchmarks": [{"name": "BM_Traceroute", "real_time": 150.0}]})");
+  const auto report = diff_bench(before, slower);
+  EXPECT_TRUE(report.comparable());
+  EXPECT_EQ(report.volatile_out_of_tolerance, 1u);
+  EXPECT_FALSE(report.gate_ok());
+  EXPECT_NE(report.text().find("-> FAIL"), std::string::npos);
+  EXPECT_TRUE(diff_bench(before, before).gate_ok());
+}
+
+TEST(BenchDiff, HostClassMismatchIsIncomparableWhateverTheTimings) {
+  // The checked-in baseline's shape: one CPU and a debug benchmark
+  // library, against a 4-CPU run with identical timings.
+  const auto baseline = parse(R"({
+    "context": {"num_cpus": 1, "build_type": "Release",
+                "library_build_type": "debug"},
+    "benchmarks": [{"name": "BM_Traceroute", "real_time": 100.0}]})");
+  const auto fresh = parse(R"({
+    "context": {"num_cpus": 4, "build_type": "Release",
+                "library_build_type": "debug"},
+    "benchmarks": [{"name": "BM_Traceroute", "real_time": 100.0}]})");
+  const auto report = diff_bench(baseline, fresh);
+  EXPECT_FALSE(report.comparable());
+  EXPECT_FALSE(report.gate_ok());
+  EXPECT_EQ(report.host_class_differences, 1u);
+  ASSERT_EQ(report.differences.size(), 1u);
+  EXPECT_EQ(report.differences[0].path, "context.num_cpus");
+  EXPECT_EQ(report.differences[0].kind, DiffEntry::Kind::kHostClass);
+  EXPECT_NE(report.text().find("INCOMPARABLE"), std::string::npos);
+
+  // A 10x slowdown or speedup changes nothing: timings are not compared.
+  const auto slow = parse(R"({
+    "context": {"num_cpus": 4, "build_type": "Debug"},
+    "benchmarks": [{"name": "BM_Traceroute", "real_time": 1000.0}]})");
+  const auto slow_report = diff_bench(baseline, slow);
+  EXPECT_FALSE(slow_report.gate_ok());
+  EXPECT_EQ(slow_report.host_class_differences, 3u);  // absent counts
+  EXPECT_EQ(slow_report.volatile_out_of_tolerance, 0u);
+  EXPECT_EQ(slow_report.paths_compared, 0u);
+  EXPECT_FALSE(diff_bench(slow, baseline).gate_ok());
+}
+
 // ---------------------------------------------------------------------
 // the JSON reader underneath the differ
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -18,8 +19,11 @@
 #include "dnssim/rdns.hpp"
 #include "netbase/json.hpp"
 #include "netbase/report.hpp"
+#include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/per_thread.hpp"
+#include "obs/trace.hpp"
 #include "probe/campaign.hpp"
 #include "topogen/profiles.hpp"
 #include "vantage/vps.hpp"
@@ -200,6 +204,113 @@ TEST(StageTree, OutOfOrderCloseViolatesPrecondition) {
   auto* outer = registry.begin_stage("outer");
   (void)registry.begin_stage("inner");
   EXPECT_DEATH(registry.end_stage(outer, 0, 0.0), "Precondition");
+}
+
+// ---------------------------------------------------------------------
+// PerThread: the buffer registry under Log, Tracer and FlightRecorder
+// ---------------------------------------------------------------------
+
+/// (tid, contents) of every buffer, in for_each order.
+template <typename Buffer>
+std::vector<std::pair<std::uint32_t, Buffer>> snapshot(
+    const PerThread<Buffer>& owner) {
+  std::vector<std::pair<std::uint32_t, Buffer>> out;
+  owner.for_each(
+      [&out](std::uint32_t tid, const Buffer& buffer) {
+        out.emplace_back(tid, buffer);
+      });
+  return out;
+}
+
+TEST(PerThread, OneBufferPerThreadAndOwnerWithTidsInRegistrationOrder) {
+  PerThread<std::vector<int>> a;
+  PerThread<std::vector<int>> b;
+  int inits = 0;
+  const auto count_init = [&inits](std::vector<int>&) { ++inits; };
+  a.local(count_init).push_back(0);
+  for (int t = 1; t <= 3; ++t)
+    std::thread([&, t] {
+      a.local(count_init).push_back(t);
+      b.local().push_back(t);
+      a.local(count_init).push_back(t);
+    }).join();
+  a.local(count_init).push_back(0);  // the first thread's buffer again
+  using Rows = std::vector<std::pair<std::uint32_t, std::vector<int>>>;
+  EXPECT_EQ(snapshot(a), (Rows{{1, {0, 0}}, {2, {1, 1}}, {3, {2, 2}},
+                               {4, {3, 3}}}));
+  EXPECT_EQ(snapshot(b), (Rows{{1, {1}}, {2, {2}}, {3, {3}}}));
+  EXPECT_EQ(inits, 4);  // once per registration, never on a cache hit
+}
+
+TEST(PerThread, NewOwnerAtADeadOwnersAddressSeesNoStaleBuffer) {
+  std::optional<PerThread<std::vector<int>>> owner;
+  owner.emplace();
+  owner->local().push_back(1);
+  const auto* address = &*owner;
+  owner.reset();
+  owner.emplace();
+  ASSERT_EQ(&*owner, address);
+  EXPECT_TRUE(owner->local().empty());
+  using Rows = std::vector<std::pair<std::uint32_t, std::vector<int>>>;
+  EXPECT_EQ(snapshot(*owner), (Rows{{1, {}}}));
+}
+
+TEST(PerThread, ThreadsTouchingMoreOwnersThanTheCacheKeepOneBufferEach) {
+  // Four threads round-robin over more owners than the per-thread cache
+  // holds, so every visit misses and looks the thread's slot up again
+  // under the owner's lock while other threads register.
+  constexpr std::size_t kOwners = PerThread<int>::kCacheSize + 16;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::unique_ptr<PerThread<int>>> owners;
+  for (std::size_t i = 0; i < kOwners; ++i)
+    owners.push_back(std::make_unique<PerThread<int>>());
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&owners] {
+      for (int round = 0; round < kRounds; ++round)
+        for (auto& owner : owners) ++owner->local();
+    });
+  for (auto& worker : workers) worker.join();
+  for (const auto& owner : owners) {
+    const auto rows = snapshot(*owner);
+    ASSERT_EQ(rows.size(), static_cast<std::size_t>(kThreads));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].first, i + 1);
+      EXPECT_EQ(rows[i].second, kRounds);
+    }
+  }
+}
+
+TEST(PerThread, TracerSpanSurvivesMoreLiveTracersThanTheCache) {
+  // A B event, one instant on each of 64 other live tracers (evicting
+  // the first tracer from the thread's cache), then the matching E: both
+  // must land on one track, or per-thread B/E nesting breaks.
+  std::vector<std::unique_ptr<Tracer>> tracers;
+  for (std::size_t i = 0; i <= PerThread<int>::kCacheSize; ++i)
+    tracers.push_back(std::make_unique<Tracer>());
+  tracers[0]->begin("outer");
+  for (std::size_t i = 1; i < tracers.size(); ++i)
+    tracers[i]->instant("other");
+  tracers[0]->end("outer");
+  const auto json = tracers[0]->to_chrome_json();
+  EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_EQ(json.find("\"tid\":2"), std::string::npos) << json;
+}
+
+TEST(PerThread, LogDedupSurvivesMoreLiveLogsThanTheCache) {
+  std::vector<std::unique_ptr<Log>> logs;
+  for (std::size_t i = 0; i <= PerThread<int>::kCacheSize; ++i)
+    logs.push_back(std::make_unique<Log>());
+  logs[0]->info("test.dedup", "same message");
+  for (std::size_t i = 1; i < logs.size(); ++i)
+    logs[i]->info("test.dedup", "same message");
+  logs[0]->info("test.dedup", "same message");
+  const auto records = logs[0]->merged();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].repeats, 2u);
+  EXPECT_EQ(records[0].tid, 1u);
 }
 
 TEST(Manifest, JsonCarriesConfigSummaryAndMetrics) {
