@@ -3,7 +3,8 @@
 //
 // The cable oracle is a canonical text dump of one study — every
 // region's DOT and JSON export with provenance, every explain()
-// transcript in edges() order, and the deterministic run manifest —
+// transcript in edges() order, the deterministic run manifest, and each
+// region's §5.5 hop-difference RTT table as the snapshot carries it —
 // compared byte for byte against tests/data/golden/cable_<world>.txt at
 // 1, 4 and 8 threads. Two worlds: `base` (no MPLS region; the mpls,
 // single, ring and small-agg counters read 0) and `rules` (an MPLS
@@ -24,8 +25,10 @@
 #include "core/cable_pipeline.hpp"
 #include "core/export.hpp"
 #include "core/mobile_pipeline.hpp"
+#include "core/snapshot.hpp"
 #include "dnssim/rdns.hpp"
 #include "netbase/json.hpp"
+#include "netbase/strings.hpp"
 #include "obs/diff.hpp"
 #include "simnet/mobile_core.hpp"
 #include "topogen/profiles.hpp"
@@ -111,7 +114,8 @@ void append_block(std::string& out, const std::string& header,
   if (body.empty() || body.back() != '\n') out += '\n';
 }
 
-/// The canonical dump: exports, explain transcripts, manifest.
+/// The canonical dump: exports, explain transcripts, manifest, and the
+/// snapshot's per-region CO RTTs ("%.17g", so every bit is pinned).
 std::string canonical_dump(const CableStudy& study) {
   std::string out;
   const auto& provenance = study.edge_provenance;
@@ -124,6 +128,12 @@ std::string canonical_dump(const CableStudy& study) {
     append_block(out, "explain " + key.first + " " + key.second,
                  provenance.explain(key.first, key.second));
   append_block(out, "manifest", study.run_manifest.to_json());
+  for (const auto& [name, region] : study.topology->regions()) {
+    std::string rtts;
+    for (const auto& [co, rtt] : region.co_rtt_ms())
+      rtts += net::format("%s %.17g\n", co.c_str(), rtt);
+    append_block(out, "region " + name + " co_rtt_ms", rtts);
+  }
   return out;
 }
 
