@@ -34,7 +34,7 @@ struct ProbeTask {
 /// metrics registry.
 struct CampaignConfig {
   /// Probe attempts / gap limit for every traceroute.
-  TraceOptions trace;
+  TraceOptions trace{};
   /// Worker threads; 0 = all hardware threads, 1 = serial.
   int parallelism = 0;
   /// Metrics sink for campaign/probe instrumentation; null = off. When

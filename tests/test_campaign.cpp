@@ -97,8 +97,9 @@ TEST_F(CampaignTest, AttemptReRollsNoiseWithoutMovingThePath) {
     for (std::size_t i = 0; i < a.hops.size(); ++i) {
       // Paris flow pins the path: responding hops answer from the same
       // interface on every attempt.
-      if (a.hops[i].responded() && b.hops[i].responded())
+      if (a.hops[i].responded() && b.hops[i].responded()) {
         EXPECT_EQ(a.hops[i].addr, b.hops[i].addr);
+      }
       any_noise_difference =
           any_noise_difference || a.hops[i].rtt_ms != b.hops[i].rtt_ms;
     }

@@ -6,7 +6,8 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <cstddef>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -243,16 +244,18 @@ TEST(PerThread, OneBufferPerThreadAndOwnerWithTidsInRegistrationOrder) {
 }
 
 TEST(PerThread, NewOwnerAtADeadOwnersAddressSeesNoStaleBuffer) {
-  std::optional<PerThread<std::vector<int>>> owner;
-  owner.emplace();
-  owner->local().push_back(1);
-  const auto* address = &*owner;
-  owner.reset();
-  owner.emplace();
-  ASSERT_EQ(&*owner, address);
+  // Both owners are constructed in the same storage, so the second one
+  // sits at the dead one's address by construction.
+  using Owner = PerThread<std::vector<int>>;
+  alignas(Owner) std::byte storage[sizeof(Owner)];
+  auto* dead = new (storage) Owner;
+  dead->local().push_back(1);
+  dead->~Owner();
+  auto* owner = new (storage) Owner;
   EXPECT_TRUE(owner->local().empty());
   using Rows = std::vector<std::pair<std::uint32_t, std::vector<int>>>;
   EXPECT_EQ(snapshot(*owner), (Rows{{1, {}}}));
+  owner->~Owner();
 }
 
 TEST(PerThread, ThreadsTouchingMoreOwnersThanTheCacheKeepOneBufferEach) {

@@ -513,8 +513,8 @@ TEST(QueryEngineTelemetry, RequestIdsReachLogLinesAndTracerSpans) {
   config.metrics = &metrics;
   const QueryEngine engine{hub, config};
 
-  engine.answer(R"({"op":"ping"})");      // rid 1 -> debug serve.request
-  engine.answer(R"({"op":"teleport"})");  // rid 2 -> info serve.error
+  (void)engine.answer(R"({"op":"ping"})");      // rid 1 -> debug serve.request
+  (void)engine.answer(R"({"op":"teleport"})");  // rid 2 -> info serve.error
   metrics.set_logger(nullptr);
   metrics.set_tracer(nullptr);
   ASSERT_TRUE(log.flush());
@@ -593,7 +593,7 @@ TEST(QueryEngineTelemetry, HealthReportsWindowAgeAndWorkerSaturation) {
   config.health = &health;
   const QueryEngine engine{hub, config};
   hub.publish(fixture_snapshot(3));
-  engine.answer(R"({"op":"teleport"})");  // one error into the window
+  (void)engine.answer(R"({"op":"teleport"})");  // one error into the window
   const auto reply = engine.answer(R"({"op":"health"})");
   EXPECT_NE(reply.find(R"("error_window":{"errors":1,"ok":0,"window_s":60})"),
             std::string::npos)
@@ -620,8 +620,8 @@ TEST(QueryEngineTelemetry, DumpReturnsCanonicalAndVolatileFlightRecords) {
   config.metrics = &metrics;
   config.recorder = &recorder;
   const QueryEngine engine{hub, config};
-  engine.answer(R"({"op":"ping"})");
-  engine.answer(R"({"op":"teleport"})");
+  (void)engine.answer(R"({"op":"ping"})");
+  (void)engine.answer(R"({"op":"teleport"})");
 
   // The dump request itself is recorded only after its reply is built,
   // so it never appears in its own record list.
@@ -648,13 +648,13 @@ TEST(QueryEngineTelemetry, PerOpHistogramsPartitionEveryRequest) {
   config.metrics = &metrics;
   const QueryEngine engine{hub, config};
 
-  engine.answer(R"({"op":"ping"})");
-  engine.answer(R"({"op":"ping"})");
-  engine.answer(R"({"op":"stats"})");     // no_snapshot, resolved op: stats
-  engine.answer(R"({"op":"path"})");      // no_snapshot, resolved op: path
-  engine.answer("{garbage");              // malformed_json -> other
-  engine.answer(R"({"op":"teleport"})");  // unknown_op -> other
-  engine.answer(R"({"op":"metrics"})");
+  (void)engine.answer(R"({"op":"ping"})");
+  (void)engine.answer(R"({"op":"ping"})");
+  (void)engine.answer(R"({"op":"stats"})");  // no_snapshot, resolved op: stats
+  (void)engine.answer(R"({"op":"path"})");   // no_snapshot, resolved op: path
+  (void)engine.answer("{garbage");           // malformed_json -> other
+  (void)engine.answer(R"({"op":"teleport"})");  // unknown_op -> other
+  (void)engine.answer(R"({"op":"metrics"})");
   // Server-detected failures land in the same partition, under "other".
   const auto timeout = engine.error_reply(infer::QueryReason::kTimeout,
                                           "per-request deadline expired");
