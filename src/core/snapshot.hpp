@@ -224,12 +224,17 @@ class SnapshotHub {
   }
 
   /// Atomically replaces the served snapshot. In-flight readers keep
-  /// the generation they already copied; new reads see `next`.
+  /// the generation they already copied; new reads see `next`. When the
+  /// hub held the last reference to the replaced generation, it is
+  /// destroyed after the lock is released, so readers never wait on it.
   void publish(std::shared_ptr<const TopologySnapshot> next) {
-    std::unique_lock lock{mutex_};
-    current_ = std::move(next);
-    ++publishes_;
-    last_publish_ = std::chrono::steady_clock::now();
+    {
+      std::unique_lock lock{mutex_};
+      current_.swap(next);
+      ++publishes_;
+      last_publish_ = std::chrono::steady_clock::now();
+    }
+    // `next` now holds the replaced generation and drops it here.
   }
 
   [[nodiscard]] std::uint64_t publish_count() const {

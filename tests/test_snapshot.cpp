@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -328,6 +330,35 @@ TEST(SnapshotHub, ReadersAlwaysSeeAPublishedGeneration) {
   EXPECT_EQ(bad_reads.load(), 0);
   EXPECT_EQ(hub.publish_count(), kGenerations);
   EXPECT_EQ(hub.get()->generation(), kGenerations);
+}
+
+TEST(SnapshotHub, PublishDestroysTheReplacedGenerationOutsideTheLock) {
+  // Dropping the last reference to a generation can be slow (a large
+  // snapshot frees its whole graph); readers must not wait for it. The
+  // replaced generation's deleter asks another thread for the current
+  // snapshot and waits up to a second: under the publish lock that read
+  // would block until the deleter gave up.
+  SnapshotHub hub;
+  std::thread reader;
+  std::future_status status = std::future_status::deferred;
+  std::shared_ptr<const TopologySnapshot> seen;
+  hub.publish(std::shared_ptr<const TopologySnapshot>(
+      new TopologySnapshot(fixture_snapshot(1)),
+      [&](const TopologySnapshot* replaced) {
+        std::promise<std::shared_ptr<const TopologySnapshot>> read;
+        auto result = read.get_future();
+        reader = std::thread{[&hub, read = std::move(read)]() mutable {
+          read.set_value(hub.get());
+        }};
+        status = result.wait_for(std::chrono::seconds(1));
+        if (status == std::future_status::ready) seen = result.get();
+        delete replaced;
+      }));
+  hub.publish(std::make_shared<const TopologySnapshot>(fixture_snapshot(2)));
+  reader.join();
+  EXPECT_EQ(status, std::future_status::ready);
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen->generation(), 2u);
 }
 
 }  // namespace
