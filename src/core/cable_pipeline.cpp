@@ -1,12 +1,13 @@
 #include "cable_pipeline.hpp"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "corpus_index.hpp"
 #include "corpus_io.hpp"
+#include "flat_table.hpp"
 #include "footprint.hpp"
+#include "interner.hpp"
 #include "latency_study.hpp"
 #include "snapshot.hpp"
 #include "netbase/contracts.hpp"
@@ -31,6 +32,51 @@ int detect_p2p_len(std::span<const net::IPv4Address> addrs) {
   // two signals are disjoint and directly comparable.
   return evidence31 > evidence30 ? 31 : 30;
 }
+
+namespace {
+
+struct RawCoPairCounts {
+  std::size_t sweep_only = 0;
+  std::size_t total = 0;
+};
+
+/// Distinct directed CO pairs (different COs) whose endpoints both carry
+/// a regional-router rDNS name: among the index's pairs first seen in
+/// traces [0, sweep_traces), and among all of them. Each distinct
+/// address is looked up and extracted once; pairs are counted on
+/// interned CO ids.
+RawCoPairCounts count_raw_co_pairs(const CorpusIndex& index,
+                                   std::size_t sweep_traces,
+                                   const RdnsSources& rdns) {
+  constexpr auto kNoCo = core::Interner::kInvalidId;
+  core::Interner cos;
+  core::FlatU32Map co_of{12};  // address -> raw CO id, or kNoCo
+  const auto raw_co = [&](net::IPv4Address addr) {
+    if (const auto* slot = co_of.find(addr.value())) return slot->value;
+    std::uint32_t id = kNoCo;
+    if (const auto name = rdns.lookup(addr)) {
+      const auto info = dns::extract_hostname(*name);
+      if (info.kind == dns::HostKind::kRegionalRouter)
+        id = cos.intern(info.co_key);
+    }
+    co_of.upsert(addr.value()).value = id;
+    return id;
+  };
+  core::FlatKeySet sweep_pairs{10};
+  core::FlatKeySet all_pairs{12};
+  for (const auto& record : index.pairs()) {
+    const auto a = raw_co(record.a);
+    const auto b = raw_co(record.b);
+    if (a == kNoCo || b == kNoCo || a == b) continue;
+    // a != b, so the packed key is never zero.
+    const auto key = (std::uint64_t{a} << 32) | b;
+    all_pairs.upsert(key);
+    if (record.first_trace < sweep_traces) sweep_pairs.upsert(key);
+  }
+  return {sweep_pairs.size(), all_pairs.size()};
+}
+
+}  // namespace
 
 CablePipeline::CablePipeline(const sim::World& world, int isp_index,
                              RdnsSources rdns, CablePipelineConfig config)
@@ -95,35 +141,41 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
               "cable pipeline starting for ISP " + isp.name());
 
   // ---- Phase 1(a): /24 sweep -------------------------------------------
-  TraceCorpus sweep_corpus;
+  std::vector<probe::TraceRecord> sweep_traces;
   {
     obs::StageTimer stage{&metrics, "sweep"};
     const auto sweep = sweep_targets();
     study.sweep_targets = sweep.size();
     stage.add_items(sweep.size());
-    sweep_corpus.traces = runner.run(probe::grid_tasks(vps, sweep));
+    sweep_traces = runner.run(probe::grid_tasks(vps, sweep));
   }
 
   // ---- Phase 1(b): rDNS-matched interface targets -----------------------
-  TraceCorpus rdns_corpus;
+  std::vector<probe::TraceRecord> rdns_traces;
   const auto named = rdns_targets();
   {
     obs::StageTimer stage{&metrics, "rdns"};
     study.rdns_targets = named.size();
     stage.add_items(named.size());
-    rdns_corpus.traces = runner.run(probe::grid_tasks(vps, named));
+    rdns_traces = runner.run(probe::grid_tasks(vps, named));
   }
 
   // ---- Phase 1(c): follow-up traceroutes to every intermediate ----------
-  TraceCorpus combined;
-  combined.merge(std::move(sweep_corpus));
-  // Keep a cheap handle on sweep-only adjacencies for the §5.1 comparison.
-  const auto sweep_pairs = consecutive_pairs(combined);
-  combined.merge(std::move(rdns_corpus));
-
+  // One set of responding addresses serves the follow-up targets and,
+  // once the follow-ups joined it, the manifest's distinct-address count.
+  core::FlatKeySet responding{16};
+  const auto add_responding = [&](const auto& traces) {
+    for (const auto& trace : traces)
+      for (const auto& hop : trace.hops)
+        if (hop.responded()) responding.upsert(hop.addr.value());
+  };
+  add_responding(sweep_traces);
+  add_responding(rdns_traces);
   std::vector<net::IPv4Address> intermediates;
-  for (const auto addr : combined.responding_addresses())
+  responding.for_each([&](const core::KeySlot& slot) {
+    const net::IPv4Address addr{static_cast<std::uint32_t>(slot.bits)};
     if (isp.owns(addr)) intermediates.push_back(addr);
+  });
   std::sort(intermediates.begin(), intermediates.end());
   study.followup_targets = intermediates.size();
 
@@ -136,14 +188,21 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
     followups.traces = runner.run(probe::grid_tasks(
         vps.first(static_cast<std::size_t>(followup_vps)), intermediates));
   }
+  add_responding(followups.traces);
 
   const auto mpls_separated =
-      config_.use_mpls_check
-          ? separated_pairs(followups)
-          : std::set<std::pair<net::IPv4Address, net::IPv4Address>>{};
+      config_.use_mpls_check ? separated_pairs(followups) : AddressPairSet{};
 
-  study.traces = std::move(combined);
-  study.traces.merge(std::move(followups));
+  // The corpus is the sweep block, then the rDNS block, then the
+  // follow-ups; the §5.1 comparison below relies on the sweep coming
+  // first.
+  const std::size_t sweep_trace_count = sweep_traces.size();
+  auto& traces = study.traces.traces;
+  traces.reserve(sweep_traces.size() + rdns_traces.size() +
+                 followups.traces.size());
+  for (auto* block : {&sweep_traces, &rdns_traces, &followups.traces})
+    traces.insert(traces.end(), std::make_move_iterator(block->begin()),
+                  std::make_move_iterator(block->end()));
 
   // Ingest boundary: the assembled corpus passes the same invariants the
   // offline loader enforces, and the ingest.* counters land in the
@@ -224,31 +283,12 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
   // versus the whole campaign, both judged by raw rDNS extraction (the
   // information available at observation time). Routers that answer sweep
   // probes from unnamed loopbacks hide their CO here; directly targeting
-  // their interfaces recovers it.
-  const auto add_raw_co_pair =
-      [&](net::IPv4Address a, net::IPv4Address b,
-          std::set<std::pair<std::string, std::string>>& out) {
-        const auto name_a = rdns_.lookup(a);
-        const auto name_b = rdns_.lookup(b);
-        if (!name_a || !name_b) return;
-        const auto info_a = dns::extract_hostname(*name_a);
-        const auto info_b = dns::extract_hostname(*name_b);
-        if (info_a.kind != dns::HostKind::kRegionalRouter ||
-            info_b.kind != dns::HostKind::kRegionalRouter)
-          return;
-        if (info_a.co_key == info_b.co_key) return;
-        out.emplace(info_a.co_key, info_b.co_key);
-      };
-  std::set<std::pair<std::string, std::string>> sweep_co_pairs;
-  for (const auto& [a, b] : sweep_pairs)
-    add_raw_co_pair(a, b, sweep_co_pairs);
-  study.co_adjs_sweep_only = sweep_co_pairs.size();
-  // The index already dedups directed pairs, so feeding each record once
-  // yields the same set as scanning every raw occurrence.
-  std::set<std::pair<std::string, std::string>> total_co_pairs;
-  for (const auto& record : index.pairs())
-    add_raw_co_pair(record.a, record.b, total_co_pairs);
-  study.co_adjs_total = total_co_pairs.size();
+  // their interfaces recovers it. The index's unique pairs carry both:
+  // a pair was seen in the sweep iff its first trace is in the sweep
+  // block.
+  const auto co_pairs = count_raw_co_pairs(index, sweep_trace_count, rdns_);
+  study.co_adjs_sweep_only = co_pairs.sweep_only;
+  study.co_adjs_total = co_pairs.total;
 
   // ---- Run manifest ------------------------------------------------------
   study.mapping.stats.publish(metrics, "cable.b1");
@@ -288,8 +328,7 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
                        study.co_adjs_sweep_only);
   manifest.add_summary("campaign", "co_adjs_total", study.co_adjs_total);
   manifest.add_summary("corpus", "traces", study.traces.size());
-  manifest.add_summary("corpus", "responding_addresses",
-                       study.traces.responding_addresses().size());
+  manifest.add_summary("corpus", "responding_addresses", responding.size());
   manifest.add_summary("clusters", "alias_clusters",
                        static_cast<std::uint64_t>(
                            study.routers.alias_cluster_count()));
@@ -324,12 +363,13 @@ CableStudy CablePipeline::run(std::span<const vp::ExternalVp> vps) const {
   // without a StageTimer of its own: the snapshot is a pure function of
   // the graphs and must not perturb the manifest's sections. The hop-
   // difference RTTs of §5.5 ride along so latency queries can answer in
-  // milliseconds.
+  // milliseconds; that table is one sharded pass over the corpus at the
+  // campaign's parallelism, exact at any thread count.
   study.topology =
       std::make_shared<const TopologySnapshot>(TopologySnapshot::build(
           "cable", study.regions(),
           std::make_shared<obs::ProvenanceLog>(study.edge_provenance), 1,
-          agg_to_edge_rtts(study)));
+          agg_to_edge_rtts(study, config_.campaign.parallelism)));
 
   manifest.capture(metrics);
   manifest.capture_provenance(study.edge_provenance);

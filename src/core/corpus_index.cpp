@@ -1,184 +1,102 @@
 #include "corpus_index.hpp"
 
 #include <algorithm>
+#include <tuple>
+
+#include "flat_table.hpp"
 
 namespace ran::infer {
 
 namespace {
 
-/// Fibonacci-style mix of a packed key into a table index.
-inline std::size_t mix(std::uint64_t key, int shift) {
-  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+/// One unique directed pair, keyed by (a << 32) | b.
+struct PairSlot {
+  using Key = std::uint64_t;
+  Key ab = 0;
+  std::uint32_t count = 0;
+  std::uint32_t transit_count = 0;
+  std::uint32_t first_trace = 0;
+  std::uint32_t last_trace = 0;
+  std::uint32_t last_transit_seq = 0;
+
+  static std::uint64_t hash(Key k) { return k; }
+  [[nodiscard]] Key key() const { return ab; }
+  void claim(Key k) { ab = k; }
+};
+
+/// One unique triplet, keyed by ((a << 32) | b) plus c in a separate
+/// word; the first word is never zero for a valid entry (a responds).
+struct TripletKey {
+  std::uint64_t ab = 0;
+  std::uint32_t c = 0;
+  bool operator==(const TripletKey&) const = default;
+};
+
+struct TripletSlot {
+  using Key = TripletKey;
+  TripletKey abc;
+  std::uint32_t count = 0;
+  std::uint32_t last_seq = 0;
+
+  static std::uint64_t hash(const Key& k) {
+    return k.ab ^ (std::uint64_t{k.c} * 0xC2B2AE3D27D4EB4Full);
+  }
+  [[nodiscard]] const Key& key() const { return abc; }
+  void claim(const Key& k) { abc = k; }
+};
+
+[[nodiscard]] std::vector<PairRecord> extract_pairs(
+    const core::FlatTable<PairSlot>& table) {
+  std::vector<PairRecord> out;
+  out.reserve(table.size());
+  table.for_each([&out](const PairSlot& slot) {
+    PairRecord record;
+    record.a = net::IPv4Address{static_cast<std::uint32_t>(slot.ab >> 32)};
+    record.b =
+        net::IPv4Address{static_cast<std::uint32_t>(slot.ab & 0xFFFFFFFFull)};
+    record.count = slot.count;
+    record.transit_count = slot.transit_count;
+    record.first_trace = slot.first_trace;
+    record.last_trace = slot.last_trace;
+    record.last_transit_seq = slot.last_transit_seq;
+    out.push_back(record);
+  });
+  std::sort(out.begin(), out.end(),
+            [](const PairRecord& x, const PairRecord& y) {
+              return std::pair{x.a, x.b} < std::pair{y.a, y.b};
+            });
+  return out;
 }
 
-/// Open-addressing table for unique directed pairs, keyed by
-/// (a << 32) | b. Responding hop addresses are never unspecified, so a
-/// zero key marks an empty slot.
-class PairTable {
- public:
-  explicit PairTable(int capacity_log2)
-      : log2_(capacity_log2), slots_(std::size_t{1} << capacity_log2) {}
-
-  void upsert(std::uint64_t key, std::uint32_t trace, bool transit,
-              std::uint32_t seq) {
-    Slot* slot = probe(key);
-    if (slot->key == 0) {
-      if ((used_ + 1) * 16 > slots_.size() * 10) {
-        grow();
-        slot = probe(key);
-      }
-      ++used_;
-      slot->key = key;
-      slot->first_trace = trace;
-    }
-    ++slot->count;
-    if (transit) {
-      ++slot->transit_count;
-      slot->last_transit_seq = seq;
-    }
-    slot->last_trace = trace;
-  }
-
-  [[nodiscard]] std::vector<PairRecord> extract() const {
-    std::vector<PairRecord> out;
-    out.reserve(used_);
-    for (const auto& slot : slots_) {
-      if (slot.key == 0) continue;
-      PairRecord record;
-      record.a = net::IPv4Address{
-          static_cast<std::uint32_t>(slot.key >> 32)};
-      record.b = net::IPv4Address{
-          static_cast<std::uint32_t>(slot.key & 0xFFFFFFFFull)};
-      record.count = slot.count;
-      record.transit_count = slot.transit_count;
-      record.first_trace = slot.first_trace;
-      record.last_trace = slot.last_trace;
-      record.last_transit_seq = slot.last_transit_seq;
-      out.push_back(record);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const PairRecord& x, const PairRecord& y) {
-                return std::pair{x.a, x.b} < std::pair{y.a, y.b};
-              });
-    return out;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t count = 0;
-    std::uint32_t transit_count = 0;
-    std::uint32_t first_trace = 0;
-    std::uint32_t last_trace = 0;
-    std::uint32_t last_transit_seq = 0;
-  };
-
-  Slot* probe(std::uint64_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = mix(key, 64 - log2_) & mask;
-    while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask;
-    return &slots_[i];
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    ++log2_;
-    slots_.assign(std::size_t{1} << log2_, Slot{});
-    for (const auto& slot : old) {
-      if (slot.key == 0) continue;
-      *probe(slot.key) = slot;
-    }
-  }
-
-  int log2_;
-  std::size_t used_ = 0;
-  std::vector<Slot> slots_;
-};
-
-/// Open-addressing table for unique triplets, keyed by ((a << 32) | b)
-/// plus c in a separate word. The first word is never zero for valid
-/// entries (a responds), so it doubles as the empty marker.
-class TripletTable {
- public:
-  explicit TripletTable(int capacity_log2)
-      : log2_(capacity_log2), slots_(std::size_t{1} << capacity_log2) {}
-
-  void upsert(std::uint64_t ab, std::uint32_t c, std::uint32_t seq) {
-    Slot* slot = probe(ab, c);
-    if (slot->ab == 0) {
-      if ((used_ + 1) * 16 > slots_.size() * 10) {
-        grow();
-        slot = probe(ab, c);
-      }
-      ++used_;
-      slot->ab = ab;
-      slot->c = c;
-    }
-    ++slot->count;
-    slot->last_seq = seq;
-  }
-
-  [[nodiscard]] std::vector<TripletRecord> extract() const {
-    std::vector<TripletRecord> out;
-    out.reserve(used_);
-    for (const auto& slot : slots_) {
-      if (slot.ab == 0) continue;
-      TripletRecord record;
-      record.a = net::IPv4Address{static_cast<std::uint32_t>(slot.ab >> 32)};
-      record.b = net::IPv4Address{
-          static_cast<std::uint32_t>(slot.ab & 0xFFFFFFFFull)};
-      record.c = net::IPv4Address{slot.c};
-      record.count = slot.count;
-      record.last_seq = slot.last_seq;
-      out.push_back(record);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TripletRecord& x, const TripletRecord& y) {
-                return std::tuple{x.a, x.b, x.c} < std::tuple{y.a, y.b, y.c};
-              });
-    return out;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t ab = 0;
-    std::uint32_t c = 0;
-    std::uint32_t count = 0;
-    std::uint32_t last_seq = 0;
-  };
-
-  Slot* probe(std::uint64_t ab, std::uint32_t c) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = mix(ab ^ (std::uint64_t{c} * 0xC2B2AE3D27D4EB4Full),
-                        64 - log2_) &
-                    mask;
-    while (slots_[i].ab != 0 && (slots_[i].ab != ab || slots_[i].c != c))
-      i = (i + 1) & mask;
-    return &slots_[i];
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    ++log2_;
-    slots_.assign(std::size_t{1} << log2_, Slot{});
-    for (const auto& slot : old) {
-      if (slot.ab == 0) continue;
-      *probe(slot.ab, slot.c) = slot;
-    }
-  }
-
-  int log2_;
-  std::size_t used_ = 0;
-  std::vector<Slot> slots_;
-};
+[[nodiscard]] std::vector<TripletRecord> extract_triplets(
+    const core::FlatTable<TripletSlot>& table) {
+  std::vector<TripletRecord> out;
+  out.reserve(table.size());
+  table.for_each([&out](const TripletSlot& slot) {
+    TripletRecord record;
+    record.a =
+        net::IPv4Address{static_cast<std::uint32_t>(slot.abc.ab >> 32)};
+    record.b = net::IPv4Address{
+        static_cast<std::uint32_t>(slot.abc.ab & 0xFFFFFFFFull)};
+    record.c = net::IPv4Address{slot.abc.c};
+    record.count = slot.count;
+    record.last_seq = slot.last_seq;
+    out.push_back(record);
+  });
+  std::sort(out.begin(), out.end(),
+            [](const TripletRecord& x, const TripletRecord& y) {
+              return std::tuple{x.a, x.b, x.c} < std::tuple{y.a, y.b, y.c};
+            });
+  return out;
+}
 
 }  // namespace
 
 CorpusIndex CorpusIndex::build(const TraceCorpus& corpus) {
   CorpusIndex index;
   index.trace_count_ = corpus.traces.size();
-  PairTable pairs{15};
-  TripletTable triplets{16};
+  core::FlatTable<PairSlot> pairs{15};
+  core::FlatTable<TripletSlot> triplets{16};
   std::uint32_t pair_seq = 0;
   std::uint32_t triplet_seq = 0;
   for (std::size_t t = 0; t < corpus.traces.size(); ++t) {
@@ -194,23 +112,32 @@ CorpusIndex CorpusIndex::build(const TraceCorpus& corpus) {
         const auto a = hops[i - 1].addr;
         const auto b = hops[i].addr;
         if (a != b) {
-          const bool transit = !(trace.reached && b == trace.dst);
-          pairs.upsert((std::uint64_t{a.value()} << 32) | b.value(),
-                       trace_id, transit, ++pair_seq);
+          auto& slot =
+              pairs.upsert((std::uint64_t{a.value()} << 32) | b.value());
+          if (slot.count++ == 0) slot.first_trace = trace_id;
+          slot.last_trace = trace_id;
+          ++pair_seq;
+          if (!(trace.reached && b == trace.dst)) {
+            ++slot.transit_count;
+            slot.last_transit_seq = pair_seq;
+          }
           ++index.pair_occurrences_;
         }
       }
-      if (r_prev2 && r_prev && r_cur)
-        triplets.upsert(
-            (std::uint64_t{hops[i - 2].addr.value()} << 32) |
-                hops[i - 1].addr.value(),
-            hops[i].addr.value(), ++triplet_seq);
+      if (r_prev2 && r_prev && r_cur) {
+        auto& slot = triplets.upsert(
+            {(std::uint64_t{hops[i - 2].addr.value()} << 32) |
+                 hops[i - 1].addr.value(),
+             hops[i].addr.value()});
+        ++slot.count;
+        slot.last_seq = ++triplet_seq;
+      }
       r_prev2 = r_prev;
       r_prev = r_cur;
     }
   }
-  index.pairs_ = pairs.extract();
-  index.triplets_ = triplets.extract();
+  index.pairs_ = extract_pairs(pairs);
+  index.triplets_ = extract_triplets(triplets);
   return index;
 }
 

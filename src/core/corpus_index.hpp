@@ -13,9 +13,9 @@
 //   * triplets(): unique consecutive responding hop triplets with
 //                 occurrence counts — everything §5.2.5 needs.
 //
-// Both tables are open-addressing hash tables during the scan (packed
-// integer keys, linear probing) and are exported as vectors sorted by
-// address key. Consumers iterate in that order and break ties by corpus
+// Both tables are core::FlatTables during the scan (packed integer
+// keys, linear probing; see flat_table.hpp) and are exported as vectors
+// sorted by address key. Consumers iterate in that order and break ties by corpus
 // order (first/last trace index, last-occurrence sequence numbers), so
 // stats, provenance and exports depend only on the corpus — never on
 // hash layout or thread count. The golden fixtures pin the result.

@@ -1,8 +1,12 @@
 #include "latency_study.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "flat_table.hpp"
+#include "interner.hpp"
 #include "netbase/stats.hpp"
+#include "probe/campaign.hpp"
 
 namespace ran::infer {
 
@@ -77,34 +81,78 @@ std::map<std::string, std::map<std::string, double>> state_medians(
   return out;
 }
 
-std::map<std::string, double> agg_to_edge_rtts(const CableStudy& study) {
-  std::map<std::string, double> best;
-  for (const auto& trace : study.corpus().traces) {
-    // Annotated responding hops in order.
-    std::vector<std::pair<const CoAnnotation*, double>> hops;
-    for (const auto& hop : trace.hops) {
-      if (!hop.responded()) continue;
-      const auto* annotation = study.mapping.map.get(hop.addr);
-      if (annotation != nullptr) hops.emplace_back(annotation, hop.rtt_ms);
-    }
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-      const auto* agg = hops[i].first;
-      const auto region_it = study.regions().find(agg->region);
-      if (region_it == study.regions().end()) continue;
-      if (!region_it->second.agg_cos.contains(agg->co_key)) continue;
-      for (std::size_t j = i + 1; j < hops.size(); ++j) {
-        const auto* edge = hops[j].first;
-        if (edge->region != agg->region) continue;
-        if (region_it->second.agg_cos.contains(edge->co_key)) continue;
-        const double diff = hops[j].second - hops[i].second;
-        if (diff <= 0) continue;
-        const auto it = best.find(edge->co_key);
-        if (it == best.end() || diff < it->second)
-          best[edge->co_key] = diff;
-      }
-    }
+std::map<std::string, double> agg_to_edge_rtts(const CableStudy& study,
+                                               int threads) {
+  // Resolve every mapped address once: its region (interned, so equal
+  // ids mean equal region strings), its CO, and whether that CO is an
+  // AggCO of its region's graph. The per-hop loop below then reads only
+  // this table.
+  struct Mapped {
+    std::uint32_t region = 0;
+    std::uint32_t co = 0;
+    bool agg = false;
+  };
+  core::Interner regions;
+  core::Interner cos;
+  std::vector<Mapped> mapped;
+  core::FlatU32Map index_of{12};  // address -> index into `mapped`
+  for (const auto& [addr, annotation] : study.mapping.map.entries()) {
+    Mapped entry;
+    entry.region = regions.intern(annotation.region);
+    entry.co = cos.intern(annotation.co_key);
+    const auto graph = study.regions().find(annotation.region);
+    entry.agg = graph != study.regions().end() &&
+                graph->second.agg_cos.contains(annotation.co_key);
+    index_of.upsert(addr.value()).value =
+        static_cast<std::uint32_t>(mapped.size());
+    mapped.push_back(entry);
   }
-  return best;
+
+  // Each worker keeps its own per-CO minimum; every candidate difference
+  // is the same double whichever worker sees it, so merging by min is
+  // exact at any thread count.
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  struct Worker {
+    std::vector<double> best;
+    std::vector<std::pair<const Mapped*, double>> hops;
+  };
+  std::vector<Worker> workers(
+      static_cast<std::size_t>(probe::resolve_threads(threads)));
+  for (auto& worker : workers) worker.best.assign(cos.size(), kNone);
+  const auto& traces = study.corpus().traces;
+  probe::parallel_for_indexed(
+      traces.size(), static_cast<int>(workers.size()),
+      [&](int id, std::size_t t) {
+        auto& worker = workers[static_cast<std::size_t>(id)];
+        // Mapped responding hops in order.
+        auto& hops = worker.hops;
+        hops.clear();
+        for (const auto& hop : traces[t].hops) {
+          if (!hop.responded()) continue;
+          if (const auto* slot = index_of.find(hop.addr.value()))
+            hops.emplace_back(&mapped[slot->value], hop.rtt_ms);
+        }
+        for (std::size_t i = 0; i < hops.size(); ++i) {
+          const auto* agg = hops[i].first;
+          if (!agg->agg) continue;
+          for (std::size_t j = i + 1; j < hops.size(); ++j) {
+            const auto* edge = hops[j].first;
+            if (edge->region != agg->region || edge->agg) continue;
+            const double diff = hops[j].second - hops[i].second;
+            if (diff <= 0) continue;
+            auto& best = worker.best[edge->co];
+            best = std::min(best, diff);
+          }
+        }
+      });
+
+  std::map<std::string, double> out;
+  for (std::uint32_t co = 0; co < cos.size(); ++co) {
+    double best = kNone;
+    for (const auto& worker : workers) best = std::min(best, worker.best[co]);
+    if (best != kNone) out.emplace(std::string{cos.view(co)}, best);
+  }
+  return out;
 }
 
 }  // namespace ran::infer

@@ -49,8 +49,13 @@ state_medians(std::span<const EdgeCoCloudRtt> rtts,
               std::span<const std::string> states);
 
 /// Fig 10b: per-EdgeCO RTT from its nearest inferred AggCO, derived from
-/// hop RTT differences inside the study's traceroutes.
+/// hop RTT differences inside the study's traceroutes: for every mapped
+/// AggCO hop and every later mapped hop of a non-AggCO in the same
+/// region, a positive RTT difference; each CO keeps its smallest. Every
+/// mapped address is resolved once, and the traces are split over
+/// `threads` workers (0 = hardware concurrency); the result is identical
+/// at any thread count.
 [[nodiscard]] std::map<std::string, double> agg_to_edge_rtts(
-    const CableStudy& study);
+    const CableStudy& study, int threads = 1);
 
 }  // namespace ran::infer

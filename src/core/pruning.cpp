@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "corpus_index.hpp"
+#include "interner.hpp"
 #include "netbase/strings.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -27,17 +28,22 @@ void PruningStats::publish(obs::Registry& registry,
   registry.counter(prefix + ".co_adj.single").inc(co_adj_single);
 }
 
-std::set<std::pair<net::IPv4Address, net::IPv4Address>> separated_pairs(
-    const TraceCorpus& followups) {
-  std::set<std::pair<net::IPv4Address, net::IPv4Address>> out;
+AddressPairSet::AddressPairSet(
+    std::initializer_list<std::pair<net::IPv4Address, net::IPv4Address>>
+        pairs) {
+  for (const auto& [a, b] : pairs) insert(a, b);
+}
+
+AddressPairSet separated_pairs(const TraceCorpus& followups) {
+  AddressPairSet out;
+  std::vector<net::IPv4Address> hops;  // responding hops, in order
   for (const auto& trace : followups.traces) {
-    // Responding hops in order.
-    std::vector<net::IPv4Address> hops;
+    hops.clear();
     for (const auto& hop : trace.hops)
       if (hop.responded()) hops.push_back(hop.addr);
     for (std::size_t i = 0; i < hops.size(); ++i)
       for (std::size_t j = i + 2; j < hops.size(); ++j)
-        if (hops[i] != hops[j]) out.emplace(hops[i], hops[j]);
+        if (hops[i] != hops[j]) out.insert(hops[i], hops[j]);
   }
   return out;
 }
@@ -60,35 +66,46 @@ struct CoAdj {
 /// Address-level MPLS separation evidence plus the CO-level relaxation
 /// for endpoints whose mapping did NOT come from their own rDNS (§5.1):
 /// loopback/LAN repliers never reappear in follow-up traces, so their
-/// separation evidence is lifted to (CO, exact far-end address).
+/// separation evidence is lifted to (CO, exact far-end address). COs are
+/// interned, so both lifted sets hold packed integer keys.
 struct MplsSeparation {
-  const std::set<std::pair<net::IPv4Address, net::IPv4Address>>* raw;
-  std::set<std::pair<std::string, net::IPv4Address>> from_co;
-  std::set<std::pair<net::IPv4Address, std::string>> to_co;
+  const AddressPairSet* raw = nullptr;
+  core::Interner cos;        ///< CO keys of mapped separated endpoints
+  core::FlatKeySet from_co;  ///< (CO id << 32) | far-end address
+  core::FlatKeySet to_co;    ///< (near-end address << 32) | CO id
 
-  [[nodiscard]] bool separated(
-      const std::pair<net::IPv4Address, net::IPv4Address>& pair,
-      const CoAnnotation& a, const CoAnnotation& b) const {
-    if (raw->contains(pair)) return true;
-    if (!a.from_rdns && from_co.contains({a.co_key, pair.second}))
-      return true;
-    if (!b.from_rdns && to_co.contains({pair.first, b.co_key})) return true;
+  [[nodiscard]] bool separated(net::IPv4Address from, net::IPv4Address to,
+                               const CoAnnotation& a,
+                               const CoAnnotation& b) const {
+    if (raw->contains(from, to)) return true;
+    if (!a.from_rdns) {
+      const auto id = cos.find(a.co_key);
+      if (id != core::Interner::kInvalidId &&
+          from_co.contains((std::uint64_t{id} << 32) | to.value()))
+        return true;
+    }
+    if (!b.from_rdns) {
+      const auto id = cos.find(b.co_key);
+      if (id != core::Interner::kInvalidId &&
+          to_co.contains((std::uint64_t{from.value()} << 32) | id))
+        return true;
+    }
     return false;
   }
 };
 
 [[nodiscard]] MplsSeparation lift_separations(
-    const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&
-        mpls_separated,
-    const CoMap& co_map) {
+    const AddressPairSet& mpls_separated, const CoMap& co_map) {
   MplsSeparation sep;
   sep.raw = &mpls_separated;
-  for (const auto& pair : mpls_separated) {
-    if (const auto* ca = co_map.get(pair.first))
-      sep.from_co.emplace(ca->co_key, pair.second);
-    if (const auto* cb = co_map.get(pair.second))
-      sep.to_co.emplace(pair.first, cb->co_key);
-  }
+  mpls_separated.for_each([&](net::IPv4Address a, net::IPv4Address b) {
+    if (const auto* ca = co_map.get(a))
+      sep.from_co.upsert((std::uint64_t{sep.cos.intern(ca->co_key)} << 32) |
+                         b.value());
+    if (const auto* cb = co_map.get(b))
+      sep.to_co.upsert((std::uint64_t{a.value()} << 32) |
+                       sep.cos.intern(cb->co_key));
+  });
   return sep;
 }
 
@@ -162,9 +179,8 @@ void classify_co_adj(const std::pair<std::string, std::string>& pair,
 
 AdjacencyResult build_and_prune(
     const TraceCorpus& corpus, const CorpusIndex& index, const CoMap& co_map,
-    const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&
-        mpls_separated,
-    obs::ProvenanceLog* provenance, obs::Log* log, int threads) {
+    const AddressPairSet& mpls_separated, obs::ProvenanceLog* provenance,
+    obs::Log* log, int threads) {
   AdjacencyResult result;
   auto& stats = result.stats;
   const auto sep = lift_separations(mpls_separated, co_map);
@@ -181,9 +197,7 @@ AdjacencyResult build_and_prune(
     const auto* cb = co_map.get(record.b);
     if (cb == nullptr) continue;
     ++stats.ip_adj_initial;
-    const std::pair<net::IPv4Address, net::IPv4Address> pair{record.a,
-                                                             record.b};
-    const bool mpls = sep.separated(pair, *ca, *cb);
+    const bool mpls = sep.separated(record.a, record.b, *ca, *cb);
     const bool backbone = ca->backbone || cb->backbone;
     // Table 4 IP column: single-observation adjacencies that survive
     // the MPLS, backbone and cross-region rules.

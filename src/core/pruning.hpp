@@ -2,11 +2,13 @@
 // false-link check of §5.1.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <set>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "flat_table.hpp"
 #include "graph.hpp"
 #include "observations.hpp"
 
@@ -38,11 +40,47 @@ struct PruningStats {
   void publish(obs::Registry& registry, const std::string& prefix) const;
 };
 
+/// A set of directed address pairs, held as packed (a << 32) | b keys in
+/// a flat hash table. Pairs of responding hops only: 0.0.0.0 -> 0.0.0.0
+/// cannot be stored.
+class AddressPairSet {
+ public:
+  AddressPairSet() = default;
+  AddressPairSet(
+      std::initializer_list<std::pair<net::IPv4Address, net::IPv4Address>>
+          pairs);
+
+  void insert(net::IPv4Address a, net::IPv4Address b) {
+    keys_.upsert(pack(a, b));
+  }
+  [[nodiscard]] bool contains(net::IPv4Address a, net::IPv4Address b) const {
+    return keys_.contains(pack(a, b));
+  }
+  [[nodiscard]] bool contains(
+      const std::pair<net::IPv4Address, net::IPv4Address>& pair) const {
+    return contains(pair.first, pair.second);
+  }
+
+  /// Calls fn(a, b) for every pair, in hash order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    keys_.for_each([&fn](const core::KeySlot& slot) {
+      fn(net::IPv4Address{static_cast<std::uint32_t>(slot.bits >> 32)},
+         net::IPv4Address{static_cast<std::uint32_t>(slot.bits)});
+    });
+  }
+
+ private:
+  static std::uint64_t pack(net::IPv4Address a, net::IPv4Address b) {
+    return (std::uint64_t{a.value()} << 32) | b.value();
+  }
+  core::FlatKeySet keys_;
+};
+
 /// Address pairs that follow-up (Direct Path Revelation) traceroutes show
 /// separated by at least one intervening responding hop: the signature of
 /// an MPLS tunnel whose initial adjacency was false (§5.1, [72]).
-[[nodiscard]] std::set<std::pair<net::IPv4Address, net::IPv4Address>>
-separated_pairs(const TraceCorpus& followups);
+[[nodiscard]] AddressPairSet separated_pairs(const TraceCorpus& followups);
 
 struct AdjacencyResult {
   /// Per-region graphs built from the surviving intra-region adjacencies.
@@ -66,8 +104,7 @@ class CorpusIndex;
 /// pruning removes every CO adjacency.
 [[nodiscard]] AdjacencyResult build_and_prune(
     const TraceCorpus& corpus, const CorpusIndex& index, const CoMap& co_map,
-    const std::set<std::pair<net::IPv4Address, net::IPv4Address>>&
-        mpls_separated,
+    const AddressPairSet& mpls_separated,
     obs::ProvenanceLog* provenance = nullptr, obs::Log* log = nullptr,
     int threads = 1);
 
