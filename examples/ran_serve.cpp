@@ -229,7 +229,6 @@ int main(int argc, char** argv) {
 
   // ---- publish and serve ----------------------------------------------
   infer::SnapshotHub hub;
-  hub.attach_metrics(&metrics);
   hub.publish(snapshot);
 
   serve::ServerConfig server_config;

@@ -1,8 +1,8 @@
-// trace_analyze: the contention-observability CLI — turns the Chrome
-// trace JSON the pipelines emit into attributed answers (per-stage
-// self/total time, the critical path, per-thread utilization, lock sites
-// ranked by total wait), and can drive its own thread-sweep campaign to
-// produce a parallel-efficiency report.
+// trace_analyze: the trace-analytics CLI — turns the Chrome trace JSON
+// the pipelines emit into attributed answers (per-stage self/total time,
+// the critical path, per-thread utilization), and measures per-stage
+// speedup: of one trace against another (--compare), or over its own
+// thread-sweep campaign (--scaling).
 //
 //   ./build/examples/trace_analyze [mode] [trace.json ...]
 //
@@ -90,8 +90,8 @@ TracedRun run_traced_pipeline(int threads) {
   TracedRun out;
   out.trace_json = tracer.to_chrome_json();
   // The pipeline captured the registry (and the profiler) into the study
-  // manifest itself; include_timings turns on the wall_ms / volatile /
-  // concurrency sections the analyses below cross-check.
+  // manifest itself; include_timings turns on the wall_ms and volatile
+  // sections the analyses below cross-check.
   out.manifest_json =
       study.manifest().to_json(obs::ManifestOptions{.include_timings = true});
   return out;

@@ -228,49 +228,42 @@ AdjacencyResult build_and_prune(
   }
   stats.co_adj_initial = co_adjs.size();
 
-  threads = probe::resolve_threads(threads);
-  if (threads <= 1) {
-    for (const auto& [pair, adj] : co_adjs)
-      classify_co_adj(pair, adj, corpus, stats, provenance, result.regions);
-  } else {
-    // Partition by region and classify per region in parallel. Every CO
-    // pair appears exactly once in co_adjs, so the shards' provenance
-    // edge keys are disjoint and merging them in sorted region order
-    // reproduces the serial transcript byte for byte (ProvenanceLog
-    // serializes its maps by key, not insertion order).
-    using Entry = std::pair<const std::pair<std::string, std::string>,
-                            CoAdj>;
-    std::map<std::string, std::vector<const Entry*>> by_region;
-    for (const auto& entry : co_adjs)
-      by_region[entry.second.region].push_back(&entry);
-    std::vector<const std::vector<const Entry*>*> partitions;
-    partitions.reserve(by_region.size());
-    for (const auto& [region, entries] : by_region)
-      partitions.push_back(&entries);
+  // Partition by region and classify the regions in parallel. Every CO
+  // pair appears exactly once in co_adjs, so the shards' provenance edge
+  // keys are disjoint and merging them in sorted region order gives the
+  // same transcript at any thread count (ProvenanceLog serializes its
+  // maps by key, not insertion order).
+  using Entry = std::pair<const std::pair<std::string, std::string>, CoAdj>;
+  std::map<std::string, std::vector<const Entry*>> by_region;
+  for (const auto& entry : co_adjs)
+    by_region[entry.second.region].push_back(&entry);
+  std::vector<const std::vector<const Entry*>*> partitions;
+  partitions.reserve(by_region.size());
+  for (const auto& [region, entries] : by_region)
+    partitions.push_back(&entries);
 
-    struct Shard {
-      PruningStats stats;
-      obs::ProvenanceLog provenance;
-      std::map<std::string, RegionalGraph> regions;
-    };
-    std::vector<Shard> shards(partitions.size());
-    probe::parallel_for(partitions.size(), threads, [&](std::size_t p) {
-      auto& shard = shards[p];
-      auto* shard_provenance =
-          provenance != nullptr ? &shard.provenance : nullptr;
-      for (const auto* entry : *partitions[p])
-        classify_co_adj(entry->first, entry->second, corpus, shard.stats,
-                        shard_provenance, shard.regions);
-    });
-    for (auto& shard : shards) {
-      stats.co_adj_mpls += shard.stats.co_adj_mpls;
-      stats.co_adj_backbone += shard.stats.co_adj_backbone;
-      stats.co_adj_cross_region += shard.stats.co_adj_cross_region;
-      stats.co_adj_single += shard.stats.co_adj_single;
-      if (provenance != nullptr) provenance->merge(shard.provenance);
-      for (auto& [region, graph] : shard.regions)
-        result.regions[region] = std::move(graph);
-    }
+  struct Shard {
+    PruningStats stats;
+    obs::ProvenanceLog provenance;
+    std::map<std::string, RegionalGraph> regions;
+  };
+  std::vector<Shard> shards(partitions.size());
+  probe::parallel_for(partitions.size(), threads, [&](std::size_t p) {
+    auto& shard = shards[p];
+    auto* shard_provenance =
+        provenance != nullptr ? &shard.provenance : nullptr;
+    for (const auto* entry : *partitions[p])
+      classify_co_adj(entry->first, entry->second, corpus, shard.stats,
+                      shard_provenance, shard.regions);
+  });
+  for (auto& shard : shards) {
+    stats.co_adj_mpls += shard.stats.co_adj_mpls;
+    stats.co_adj_backbone += shard.stats.co_adj_backbone;
+    stats.co_adj_cross_region += shard.stats.co_adj_cross_region;
+    stats.co_adj_single += shard.stats.co_adj_single;
+    if (provenance != nullptr) provenance->merge(shard.provenance);
+    for (auto& [region, graph] : shard.regions)
+      result.regions[region] = std::move(graph);
   }
 
   if (log != nullptr) {

@@ -43,11 +43,11 @@
 
 #include "csr_graph.hpp"
 #include "eval.hpp"
-#include "obs/timed_mutex.hpp"
 #include "resilience.hpp"
 
 namespace ran::obs {
 class ProvenanceLog;
+class Registry;
 }
 
 namespace ran::infer {
@@ -209,13 +209,10 @@ class TopologySnapshot {
 /// generation they copied for as long as they hold the pointer.
 class SnapshotHub {
  public:
-  /// Publishes the hub's lock accounting as `lock.snapshot_hub.*` in
-  /// `registry`'s volatile namespace (null detaches): how often readers
-  /// actually contend with a publish, and for how long — measured, not
-  /// assumed. Attach before the serving threads start.
-  void attach_metrics(obs::Registry* registry) {
-    mutex_.attach(registry, "snapshot_hub");
-  }
+  /// Publishes nothing: the hub keeps no metrics of its own. Kept only
+  /// because perfbench/workload_serve.cpp, which changes only together
+  /// with the benchmark, still calls it.
+  void attach_metrics(obs::Registry* /*registry*/) {}
 
   /// The current snapshot; null before the first publish.
   [[nodiscard]] std::shared_ptr<const TopologySnapshot> get() const {
@@ -254,7 +251,7 @@ class SnapshotHub {
   }
 
  private:
-  mutable obs::TimedSharedMutex mutex_;
+  mutable std::shared_mutex mutex_;
   std::shared_ptr<const TopologySnapshot> current_;
   std::uint64_t publishes_ = 0;
   std::chrono::steady_clock::time_point last_publish_{};

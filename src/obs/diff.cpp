@@ -36,8 +36,7 @@ std::string_view leaf_of(std::string_view path) {
 
 bool is_volatile_path(std::string_view path) {
   return path.rfind("volatile.", 0) == 0 ||
-         path.rfind("resources.", 0) == 0 ||
-         path.rfind("concurrency.", 0) == 0 || leaf_of(path) == "wall_ms";
+         path.rfind("resources.", 0) == 0 || leaf_of(path) == "wall_ms";
 }
 
 class ManifestDiffer {

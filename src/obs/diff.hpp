@@ -6,8 +6,7 @@
 // within a tolerance instead.
 //
 // Classification is namespace-driven and matches what RunManifest emits:
-//   - any path under "volatile.", "resources.",
-//     or "concurrency."                           -> tolerance compare
+//   - any path under "volatile." or "resources."  -> tolerance compare
 //   - any path whose leaf is "wall_ms"            -> tolerance compare
 //   - everything else                             -> exact (numbers by
 //     raw source token, i.e. byte equality)

@@ -188,63 +188,6 @@ std::string RunManifest::to_json(const ManifestOptions& options) const {
   }
 
   if (options.include_timings) {
-    // The concurrency section: lock-site wait accounting and parallel
-    // efficiency, derived from the captured volatile metrics the
-    // TimedMutex wrappers and the campaign runner publish. Timings-only
-    // (contention is pure scheduling) and tolerance-compared by
-    // manifest_diff like `resources` — values are milliseconds and
-    // ratios, scales a diff tolerance can absorb.
-    json.key("concurrency").begin_object();
-    json.key("locks").begin_object();
-    for (const auto& [name, hist] : metrics_.volatile_histograms) {
-      constexpr std::string_view kPrefix = "lock.";
-      constexpr std::string_view kSuffix = ".wait_us";
-      if (name.size() <= kPrefix.size() + kSuffix.size() ||
-          name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-          name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                       kSuffix) != 0)
-        continue;
-      const std::string site = name.substr(
-          kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-      const auto counter_of = [this](const std::string& counter_name) {
-        const auto it = metrics_.volatile_counters.find(counter_name);
-        return it == metrics_.volatile_counters.end() ? std::uint64_t{0}
-                                                      : it->second;
-      };
-      const auto contended =
-          counter_of(std::string{kPrefix} + site + ".contended");
-      const auto uncontended =
-          counter_of(std::string{kPrefix} + site + ".uncontended");
-      json.key(site).begin_object();
-      json.key("acquisitions").value(contended + uncontended);
-      json.key("contended").value(contended);
-      json.key("wait_ms").value(static_cast<double>(hist.sum) / 1000.0);
-      json.key("wait_p99_us").value(hist.percentile(0.99));
-      json.end_object();
-    }
-    json.end_object();
-    json.key("stages").begin_object();
-    for (const auto& [name, value] : metrics_.volatile_gauges) {
-      constexpr std::string_view kPrefix = "campaign.stage.";
-      constexpr std::string_view kSuffix = ".efficiency";
-      if (name.size() <= kPrefix.size() + kSuffix.size() ||
-          name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-          name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                       kSuffix) != 0)
-        continue;
-      const std::string stage = name.substr(
-          kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-      json.key(stage).begin_object();
-      json.key("efficiency").value(value);
-      json.end_object();
-    }
-    json.end_object();
-    if (const auto it =
-            metrics_.volatile_gauges.find("campaign.parallel_efficiency");
-        it != metrics_.volatile_gauges.end())
-      json.key("parallel_efficiency").value(it->second);
-    json.end_object();
-
     json.key("volatile").begin_object();
     json.key("counters").begin_object();
     for (const auto& [name, value] : metrics_.volatile_counters)

@@ -137,11 +137,6 @@ StageNode* Registry::begin_stage(std::string name) {
   return node;
 }
 
-std::string Registry::current_stage_name() const {
-  const std::lock_guard lock{mutex_};
-  return stage_stack_.empty() ? std::string{} : stage_stack_.back()->name;
-}
-
 void Registry::end_stage(StageNode* node, std::uint64_t items,
                          double wall_ms) {
   const std::lock_guard lock{mutex_};

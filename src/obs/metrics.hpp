@@ -6,9 +6,9 @@
 // histogram() must be pure functions of the work performed — the same
 // campaign produces the same values at any thread count — and are what a
 // RunManifest serializes by default. Anything derived from wall-clock or
-// scheduling (tasks/sec, worker utilization, cache hit rates that depend
-// on interleaving) goes through volatile_counter() / volatile_gauge() and
-// is excluded from deterministic snapshots. Instrumentation never feeds
+// scheduling (tasks/sec, cache hit rates that depend on interleaving)
+// goes through volatile_counter() / volatile_gauge() and is excluded
+// from deterministic snapshots. Instrumentation never feeds
 // back into inference: enabling a registry cannot change a corpus or a
 // graph, only describe it.
 #pragma once
@@ -214,10 +214,6 @@ class Registry {
   // --- stage tree (used via StageTimer) ---------------------------------
   /// Opens a child of the innermost open stage and returns its node.
   [[nodiscard]] StageNode* begin_stage(std::string name);
-  /// Name of the innermost open stage ("" outside any StageTimer scope) —
-  /// lets instrumentation deep inside a stage (the campaign runner's
-  /// efficiency gauges) label its metrics by the stage that ran it.
-  [[nodiscard]] std::string current_stage_name() const;
   /// Closes `node`, recording its work items and wall time. Stages close
   /// in LIFO order (enforced), which RAII timers guarantee.
   void end_stage(StageNode* node, std::uint64_t items, double wall_ms);

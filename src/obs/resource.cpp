@@ -24,8 +24,7 @@ MemorySample sample_process_memory() {
       out.vm_peak_kb = kb;
     // Scheduler counters of the reading thread (stage boundaries run on
     // the pipeline thread): the nonvoluntary count is preemption
-    // pressure, the contention signal the concurrency section pairs
-    // with lock waits.
+    // pressure.
     else if (std::sscanf(line, "voluntary_ctxt_switches: %llu", &kb) == 1)
       out.voluntary_ctxt = kb;
     else if (std::sscanf(line, "nonvoluntary_ctxt_switches: %llu", &kb) ==

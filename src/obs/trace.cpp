@@ -10,15 +10,11 @@ namespace ran::obs {
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 void Tracer::record(char phase, std::string_view name,
-                    const char* category, std::uint64_t value,
-                    std::uint64_t ts_back_us) {
+                    const char* category, std::uint64_t value) {
   auto& events = buffers_.local();
   TraceEvent event;
   event.phase = phase;
-  const auto now = now_us();
-  // Backdated events ('X' lock waits end now but span the wait) clamp at
-  // the epoch so timestamps stay non-negative.
-  event.ts_us = now >= ts_back_us ? now - ts_back_us : 0;
+  event.ts_us = now_us();
   event.seq = events.size();
   event.value = value;
   event.name.assign(name);
@@ -34,11 +30,6 @@ void Tracer::end(std::string_view name) { record('E', name, ""); }
 
 void Tracer::instant(std::string_view name, const char* category) {
   record('i', name, category);
-}
-
-void Tracer::complete(std::string_view name, std::uint64_t dur_us,
-                      const char* category) {
-  record('X', name, category, dur_us, dur_us);
 }
 
 void Tracer::counter(std::string_view name, std::uint64_t value,
@@ -91,10 +82,6 @@ std::string Tracer::to_chrome_json() const {
     out += row.event->phase;
     out += "\",\"ts\":";
     out += std::to_string(row.event->ts_us);
-    if (row.event->phase == 'X') {
-      out += ",\"dur\":";
-      out += std::to_string(row.event->value);
-    }
     out += ",\"pid\":1,\"tid\":";
     out += std::to_string(row.tid);
     if (row.event->phase == 'C') {

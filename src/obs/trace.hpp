@@ -28,14 +28,13 @@
 namespace ran::obs {
 
 /// One Chrome trace event. `phase` uses the trace-event phase letters:
-/// 'B' begin, 'E' end, 'i' instant, 'X' complete (with duration),
-/// 'C' counter (with a sampled value).
+/// 'B' begin, 'E' end, 'i' instant, 'C' counter (with a sampled value).
 struct TraceEvent {
   char phase = 'i';
   std::uint64_t ts_us = 0;     ///< microseconds since the tracer's epoch
   std::uint64_t seq = 0;       ///< per-thread sequence (merge tie-break)
-  /// Phase-dependent payload: duration for 'X' ("dur"), the sampled
-  /// value for 'C' ("args":{"value":...}); unused otherwise.
+  /// The sampled value of a 'C' event ("args":{"value":...}); unused
+  /// otherwise.
   std::uint64_t value = 0;
   std::string name;
   const char* category = "";   ///< static-lifetime category string
@@ -55,12 +54,6 @@ class Tracer {
   void end(std::string_view name);
   /// A zero-duration marker (sampled probe events and the like).
   void instant(std::string_view name, const char* category = "event");
-
-  /// A complete ('X') event ending now and spanning the last `dur_us`
-  /// microseconds — how lock waits land in the timeline without a
-  /// B-event recorded before the wait was known to matter.
-  void complete(std::string_view name, std::uint64_t dur_us,
-                const char* category = "event");
 
   /// A counter ('C') event sampling `value` on the calling thread's
   /// track — per-thread task throughput in campaign traces. Chrome
@@ -89,7 +82,7 @@ class Tracer {
   using Events = std::vector<TraceEvent>;  ///< one thread's timeline
 
   void record(char phase, std::string_view name, const char* category,
-              std::uint64_t value = 0, std::uint64_t ts_back_us = 0);
+              std::uint64_t value = 0);
   [[nodiscard]] std::uint64_t now_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(

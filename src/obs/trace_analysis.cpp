@@ -103,11 +103,6 @@ bool TraceAnalysis::load_json(std::string_view text, std::string* error) {
     const auto category = str_field(event, "cat");
     const auto ts = num_field(event, "ts");
     const auto tid = static_cast<std::uint32_t>(num_field(event, "tid"));
-    const auto value = phase == 'X' ? num_field(event, "dur") : [&] {
-      const auto* args = event.find("args");
-      return args != nullptr ? num_field(*args, "value") : std::uint64_t{0};
-    }();
-    const std::uint64_t end_ts = phase == 'X' ? ts + value : ts;
 
     auto& thread = by_tid[tid];
     if (!thread.seen) {
@@ -115,18 +110,18 @@ bool TraceAnalysis::load_json(std::string_view text, std::string* error) {
       thread.stats.file = file;
       thread.stats.tid = tid;
       thread.stats.first_ts_us = ts;
-      thread.stats.last_ts_us = end_ts;
+      thread.stats.last_ts_us = ts;
     }
     thread.stats.events += 1;
     thread.stats.first_ts_us = std::min(thread.stats.first_ts_us, ts);
-    thread.stats.last_ts_us = std::max(thread.stats.last_ts_us, end_ts);
+    thread.stats.last_ts_us = std::max(thread.stats.last_ts_us, ts);
     if (!any_event) {
       any_event = true;
       file_min = ts;
-      file_max = end_ts;
+      file_max = ts;
     }
     file_min = std::min(file_min, ts);
-    file_max = std::max(file_max, end_ts);
+    file_max = std::max(file_max, ts);
     events_ += 1;
 
     // Critical path: wall time on the root thread belongs to whichever
@@ -166,26 +161,11 @@ bool TraceAnalysis::load_json(std::string_view text, std::string* error) {
           thread.stack.back().child_us += dur;
         break;
       }
-      case 'X': {
-        if (category == "lock") {
-          auto& lock = locks_[name];
-          lock.count += 1;
-          lock.total_us += value;
-          lock.max_us = std::max(lock.max_us, value);
-        } else {
-          auto& agg = spans_[name];
-          if (agg.count == 0) agg.category = category;
-          agg.count += 1;
-          agg.total_us += value;
-          agg.self_us += value;
-          if (!thread.stack.empty())
-            thread.stack.back().child_us += value;
-        }
-        break;
-      }
       case 'C': {
+        const auto* args = event.find("args");
         auto& [samples, count] = counter_samples_[name];
-        samples[(static_cast<std::uint64_t>(file) << 32) | tid] = value;
+        samples[(static_cast<std::uint64_t>(file) << 32) | tid] =
+            args != nullptr ? num_field(*args, "value") : 0;
         count += 1;
         break;
       }
@@ -250,8 +230,7 @@ std::vector<TraceAnalysis::CriticalSegment> TraceAnalysis::critical_path()
 
 std::string TraceAnalysis::canonical_json() const {
   // Scheduling-invariant structure only: what was traced, never when or
-  // for how long. Lock events are omitted wholesale — whether an acquire
-  // contends is pure scheduling.
+  // for how long.
   net::JsonWriter json;
   json.begin_object();
   json.key("canonical").value("ran.trace_analysis.v1");
@@ -315,16 +294,6 @@ std::string TraceAnalysis::report_json() const {
     json.end_object();
   }
   json.end_array();
-
-  json.key("locks").begin_object();
-  for (const auto& [name, lock] : locks_) {
-    json.key(name).begin_object();
-    json.key("count").value(lock.count);
-    json.key("total_us").value(lock.total_us);
-    json.key("max_us").value(lock.max_us);
-    json.end_object();
-  }
-  json.end_object();
 
   json.key("counters").begin_object();
   for (const auto& [name, stats] : counters()) {
@@ -393,27 +362,6 @@ std::string TraceAnalysis::report_text(std::size_t top_n) const {
                                       static_cast<double>(critical_total))});
     os << "\ncritical path (root thread, innermost-span attribution)\n"
        << crit_table.to_string();
-  }
-
-  if (!locks_.empty()) {
-    std::vector<std::pair<std::string, const LockStats*>> lock_rank;
-    for (const auto& [name, lock] : locks_)
-      lock_rank.emplace_back(name, &lock);
-    std::sort(lock_rank.begin(), lock_rank.end(),
-              [](const auto& a, const auto& b) {
-                return a.second->total_us != b.second->total_us
-                           ? a.second->total_us > b.second->total_us
-                           : a.first < b.first;
-              });
-    net::TextTable lock_table{
-        {"lock site", "contended", "total_ms", "max_us"}};
-    for (std::size_t i = 0; i < lock_rank.size() && i < top_n; ++i)
-      lock_table.add_row(
-          {lock_rank[i].first, std::to_string(lock_rank[i].second->count),
-           net::fmt_double(
-               static_cast<double>(lock_rank[i].second->total_us) / 1000.0),
-           std::to_string(lock_rank[i].second->max_us)});
-    os << "\nlock sites by total wait\n" << lock_table.to_string();
   }
 
   net::TextTable thread_table{

@@ -1,8 +1,7 @@
-// Trace analytics: the read side of the contention-observability layer.
-// TraceAnalysis loads one or more Chrome-trace JSON documents (exactly
-// what obs::Tracer emits — B/E spans, 'i' instants, 'X' complete events,
-// 'C' counters), merges them, and turns the raw timeline into attributed
-// answers:
+// Trace analytics: the read side of the tracer. TraceAnalysis loads one
+// or more Chrome-trace JSON documents (exactly what obs::Tracer emits —
+// B/E spans, 'i' instants, 'C' counters), merges them, and turns the raw
+// timeline into attributed answers:
 //
 //   * per-span-name aggregates: count, total (inclusive) and self
 //     (exclusive, children subtracted) time;
@@ -10,19 +9,21 @@
 //     among its innermost open spans, ranked — "which stage actually
 //     owns the run's duration";
 //   * per-thread utilization: busy time under top-level spans vs. the
-//     trace's wall span, exposing the idle gaps a contended lock or an
-//     empty work queue leaves behind;
-//   * lock-wait ranking from the 'X' events of category "lock" that
-//     TimedMutex/TimedSharedMutex emit — total/max wait per site;
+//     trace's wall span, exposing the idle gaps an empty work queue
+//     leaves behind;
 //   * counter-event totals (per-thread cumulative counters summed at
-//     their final value).
+//     their final value);
+//   * compare(): measured per-stage speedup of one trace against another
+//     (a 1-thread run against an N-thread run of the same workload) —
+//     the scaling instrument, read by `trace_analyze --compare` and
+//     `--scaling`.
 //
 // Two serializations with different stability contracts, mirroring the
 // manifest's deterministic/volatile split:
 //   * canonical_json(): only scheduling-invariant structure — per-name
-//     span/instant/counter-event counts, lock events excluded. For the
-//     same workload this is byte-identical at any thread count and
-//     across repeated analyzer runs (pinned by tests/test_contention).
+//     span/instant/counter-event counts. For the same workload this is
+//     byte-identical at any thread count and across repeated analyzer
+//     runs (pinned by tests/test_contention).
 //   * report_json() / report_text(): the full analysis, deterministic
 //     for a given input trace but carrying wall-clock values.
 #pragma once
@@ -37,8 +38,7 @@ namespace ran::obs {
 
 class TraceAnalysis {
  public:
-  /// Aggregate over every span of one name (B/E pairs and non-lock 'X'
-  /// complete events).
+  /// Aggregate over every B/E span of one name.
   struct SpanStats {
     std::uint64_t count = 0;
     std::uint64_t total_us = 0;  ///< inclusive of nested spans
@@ -56,13 +56,6 @@ class TraceAnalysis {
     std::uint64_t campaign_spans = 0;  ///< spans of category "campaign"
     std::uint64_t first_ts_us = 0;
     std::uint64_t last_ts_us = 0;
-  };
-
-  /// Aggregate over the 'X' events of category "lock" for one site.
-  struct LockStats {
-    std::uint64_t count = 0;
-    std::uint64_t total_us = 0;
-    std::uint64_t max_us = 0;
   };
 
   struct CounterStats {
@@ -105,9 +98,6 @@ class TraceAnalysis {
   [[nodiscard]] const std::map<std::string, SpanStats>& spans() const {
     return spans_;
   }
-  [[nodiscard]] const std::map<std::string, LockStats>& locks() const {
-    return locks_;
-  }
   [[nodiscard]] const std::map<std::string, std::uint64_t>& instants()
       const {
     return instants_;
@@ -144,7 +134,6 @@ class TraceAnalysis {
 
   std::map<std::string, SpanStats> spans_;
   std::map<std::string, std::uint64_t> instants_;
-  std::map<std::string, LockStats> locks_;
   /// name -> ((file<<32)|tid -> last sampled value, event count).
   std::map<std::string,
            std::pair<std::map<std::uint64_t, std::uint64_t>, std::uint64_t>>

@@ -17,6 +17,34 @@ namespace {
 /// small enough to balance uneven per-trace cost.
 constexpr std::size_t kBlock = 16;
 
+/// Runs fn(worker, i) for every i in [0, count), handing out `block`
+/// consecutive indexes per counter fetch. Starts no more workers than
+/// there are blocks; a single worker runs inline on the calling thread.
+void run_blocks(std::size_t count, int threads, std::size_t block,
+                const std::function<void(int, std::size_t)>& fn) {
+  const std::size_t blocks = (count + block - 1) / block;
+  const auto workers = static_cast<int>(
+      std::min(blocks, static_cast<std::size_t>(resolve_threads(threads))));
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(0, i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  auto worker = [&](int id) {
+    while (true) {
+      const std::size_t begin = next.fetch_add(block);
+      if (begin >= count) return;
+      const std::size_t end = std::min(begin + block, count);
+      for (std::size_t i = begin; i < end; ++i) fn(id, i);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers) - 1);
+  for (int t = 1; t < workers; ++t) pool.emplace_back(worker, t);
+  worker(0);
+  for (auto& th : pool) th.join();
+}
+
 }  // namespace
 
 int resolve_threads(int threads) {
@@ -27,31 +55,12 @@ int resolve_threads(int threads) {
 
 void parallel_for_indexed(std::size_t count, int threads,
                           const std::function<void(int, std::size_t)>& fn) {
-  threads = resolve_threads(threads);
-  if (threads <= 1 || count <= kBlock) {
-    for (std::size_t i = 0; i < count; ++i) fn(0, i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&](int id) {
-    while (true) {
-      const std::size_t begin = next.fetch_add(kBlock);
-      if (begin >= count) return;
-      const std::size_t end = std::min(begin + kBlock, count);
-      for (std::size_t i = begin; i < end; ++i) fn(id, i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads) - 1);
-  for (int t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& th : pool) th.join();
+  run_blocks(count, threads, kBlock, fn);
 }
 
 void parallel_for(std::size_t count, int threads,
                   const std::function<void(std::size_t)>& fn) {
-  parallel_for_indexed(count, threads,
-                       [&fn](int, std::size_t i) { fn(i); });
+  run_blocks(count, threads, 1, [&fn](int, std::size_t i) { fn(i); });
 }
 
 CampaignRunner::CampaignRunner(const sim::World& world,
@@ -74,8 +83,6 @@ std::vector<TraceRecord> CampaignRunner::run(
     engine_.world().warm_routes(sources);
   }
   std::vector<TraceRecord> out(tasks.size());
-  // Per-worker busy time; each worker only touches its own slot.
-  std::vector<double> busy_ms(static_cast<std::size_t>(threads_), 0.0);
   // Batch-outcome accounting: workers tally reached/silent into their
   // own slot, summed after the join. Sums commute, so the totals (and the
   // canonical log view below) stay byte-stable at any thread count.
@@ -108,12 +115,7 @@ std::vector<TraceRecord> CampaignRunner::run(
     const auto w = static_cast<std::size_t>(worker);
     if (tracer != nullptr && i % kBlock == 0)
       tracer->begin(shard_name(i), "campaign");
-    const auto start = metrics_ != nullptr ? Clock::now() : Clock::time_point{};
     out[i] = engine_.run(task.src, task.dst, task.vp, task.flow_id);
-    if (metrics_ != nullptr)
-      busy_ms[w] +=
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
     const bool shard_end = (i + 1) % kBlock == 0 || i + 1 == tasks.size();
     if (tally) {
       const auto& record = out[i];
@@ -143,31 +145,9 @@ std::vector<TraceRecord> CampaignRunner::run(
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     metrics_->volatile_gauge("campaign.threads")
         .set(static_cast<double>(threads_));
-    if (wall_ms > 0.0) {
+    if (wall_ms > 0.0)
       metrics_->volatile_gauge("campaign.tasks_per_sec")
           .set(static_cast<double>(tasks.size()) / wall_ms * 1000.0);
-      double busy_total_ms = 0.0;
-      for (int w = 0; w < threads_; ++w) {
-        busy_total_ms += busy_ms[static_cast<std::size_t>(w)];
-        metrics_
-            ->volatile_gauge(
-                net::format("campaign.worker%02d.utilization", w))
-            .set(busy_ms[static_cast<std::size_t>(w)] / wall_ms);
-      }
-      // Parallel efficiency: busy time across workers over wall *
-      // threads. 1.0 = perfect scaling; the gap is scheduling, lock
-      // waits, and idle tails — what the ROADMAP's BM_CampaignParallel
-      // regression is made of. Labeled by the innermost open pipeline
-      // stage so the manifest's concurrency section can attribute it.
-      const double efficiency =
-          busy_total_ms / (wall_ms * static_cast<double>(threads_));
-      metrics_->volatile_gauge("campaign.parallel_efficiency")
-          .set(efficiency);
-      if (const auto stage = metrics_->current_stage_name(); !stage.empty())
-        metrics_
-            ->volatile_gauge("campaign.stage." + stage + ".efficiency")
-            .set(efficiency);
-    }
   }
   // Batch outcome logging happens on the joined main thread and depends
   // only on the (deterministic) trace results, never on scheduling — the

@@ -50,16 +50,20 @@ struct CampaignConfig {
 /// Resolves a `threads` knob: 0 -> hardware_concurrency (at least 1).
 [[nodiscard]] int resolve_threads(int threads);
 
-/// Runs fn(i) for every i in [0, count) on `threads` workers. Indexes are
-/// handed out in small blocks from a shared counter; callers must key any
-/// output by index so results are independent of scheduling. threads<=1
-/// runs inline on the calling thread.
+/// Runs fn(i) for every i in [0, count) on up to `threads` workers, for
+/// loops over a few coarse items (regions, address bits). Indexes are
+/// handed out one per fetch from a shared counter, and no more workers
+/// start than there are items; callers must key any output by index so
+/// results are independent of scheduling. One worker runs inline on the
+/// calling thread.
 void parallel_for(std::size_t count, int threads,
                   const std::function<void(std::size_t)>& fn);
 
-/// As parallel_for, but fn also receives the index of the worker running
-/// it (0 is the calling thread) — for per-worker accounting. Results must
-/// not depend on the worker index.
+/// As parallel_for, for loops over many fine items (probes, traces):
+/// indexes are handed out in blocks of 16 — CampaignRunner's trace shards
+/// are these blocks — and fn also receives the index of the worker
+/// running it (0 is the calling thread), for per-worker accounting.
+/// Results must not depend on the worker index.
 void parallel_for_indexed(std::size_t count, int threads,
                           const std::function<void(int, std::size_t)>& fn);
 

@@ -347,10 +347,6 @@ std::shared_ptr<const World::RouteTable> World::routes_from(
 }
 
 void World::set_metrics(obs::Registry* registry) {
-  // The route-cache lock publishes acquire-wait accounting alongside the
-  // hit/miss counters; like them, it is volatile-only and never perturbs
-  // probe results. Attach while quiescent (same contract as the cache).
-  route_mutex_.attach(registry, "world.route_cache");
   if (registry == nullptr) {
     metrics_ = {};
     return;

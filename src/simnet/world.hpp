@@ -37,7 +37,6 @@
 #include "netbase/ipv4.hpp"
 #include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timed_mutex.hpp"
 #include "topogen/model.hpp"
 
 namespace ran::sim {
@@ -275,13 +274,10 @@ class World {
   /// readers copy the map's shared_ptr once per query (a briefly-held
   /// shared lock) and look their source up lock-free; a miss clones the
   /// map, inserts, and publishes under the exclusive lock. The mutex is
-  /// never held across a lookup or a Dijkstra run. The mutex is the
-  /// instrumented wrapper so set_metrics() can publish per-site
-  /// acquire-wait accounting (`lock.world.route_cache.*`) — the prime
-  /// suspect in the campaign parallel-scaling regression.
+  /// never held across a lookup or a Dijkstra run.
   using RouteCacheMap =
       std::unordered_map<NodeId, std::shared_ptr<const RouteTable>>;
-  mutable obs::TimedSharedMutex route_mutex_;
+  mutable std::shared_mutex route_mutex_;
   mutable std::shared_ptr<const RouteCacheMap> route_cache_;
   std::uint64_t seed_;
 };

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -133,6 +136,25 @@ TEST_F(CampaignTest, ParallelForHitsEveryIndexExactlyOnce) {
   std::vector<int> hits(1000, 0);
   parallel_for(hits.size(), 8, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
+}
+
+// Regions and address bits are few: two items at two threads must run
+// at once. Each item waits, bounded, for the other to arrive; a loop
+// that ran small counts serially would time out on the first item.
+TEST(ParallelFor, TwoItemsAtTwoThreadsRunConcurrently) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::array<bool, 2> met{};
+  parallel_for(2, 2, [&](std::size_t i) {
+    std::unique_lock lock{mutex};
+    ++arrived;
+    cv.notify_all();
+    met[i] = cv.wait_for(lock, std::chrono::seconds{5},
+                         [&] { return arrived == 2; });
+  });
+  EXPECT_TRUE(met[0]);
+  EXPECT_TRUE(met[1]);
 }
 
 TEST_F(CampaignTest, RunnerMatchesSerialLoopAtAnyThreadCount) {

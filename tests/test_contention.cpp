@@ -1,21 +1,13 @@
-// Contention-observability tests: the TimedMutex wrappers' exact
-// accounting (contended + uncontended partitions the acquisition total),
-// the unattached fast path publishing nothing, TraceAnalysis known
-// answers on a hand-built trace, canonical-report byte-stability across
-// campaign thread counts, and the manifest's timings-only `concurrency`
-// section. Runs under the -DRAN_SANITIZE=thread build (label obs).
+// Trace-analytics tests: TraceAnalysis known answers on a hand-built
+// trace, a round trip of Tracer output, and canonical-report
+// byte-stability across campaign thread counts. Runs under the
+// -DRAN_SANITIZE=thread build (label obs).
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <shared_mutex>
-#include <thread>
 #include <vector>
 
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timed_mutex.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
 #include "probe/campaign.hpp"
@@ -25,125 +17,14 @@
 namespace ran::obs {
 namespace {
 
-std::uint64_t counter_or_zero(const MetricsSnapshot& snap,
-                              const std::string& name) {
-  const auto it = snap.volatile_counters.find(name);
-  return it == snap.volatile_counters.end() ? 0 : it->second;
-}
-
-TEST(TimedMutex, PartitionsAcquisitionsExactly) {
-  Registry registry;
-  TimedMutex mutex;
-  mutex.attach(&registry, "test.site");
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 4000;
-  std::uint64_t protected_value = 0;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        const std::lock_guard lock{mutex};
-        ++protected_value;
-      }
-    });
-  for (auto& worker : workers) worker.join();
-
-  EXPECT_EQ(protected_value, std::uint64_t{kThreads} * kIters);
-  const auto snap = registry.snapshot();
-  const auto contended = counter_or_zero(snap, "lock.test.site.contended");
-  const auto uncontended =
-      counter_or_zero(snap, "lock.test.site.uncontended");
-  // The invariant the instrumentation is built on: every acquisition
-  // increments exactly one of the two counters, whatever the schedule.
-  EXPECT_EQ(contended + uncontended, std::uint64_t{kThreads} * kIters);
-  // ... and every contended acquire records exactly one wait sample.
-  const auto hist = snap.volatile_histograms.find("lock.test.site.wait_us");
-  ASSERT_NE(hist, snap.volatile_histograms.end());
-  EXPECT_EQ(hist->second.count, contended);
-}
-
-TEST(TimedSharedMutex, CountsReadAndWriteChannelsSeparately) {
-  Registry registry;
-  TimedSharedMutex mutex;
-  mutex.attach(&registry, "shared.site");
-
-  constexpr int kWriters = 8;
-  constexpr int kIters = 2000;
-  std::uint64_t protected_value = 0;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t)
-    writers.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        const std::unique_lock lock{mutex};
-        ++protected_value;
-      }
-    });
-  for (auto& writer : writers) writer.join();
-  // Quiescent single-thread reads: deterministically uncontended.
-  constexpr int kReads = 100;
-  std::uint64_t read_back = 0;
-  for (int i = 0; i < kReads; ++i) {
-    const std::shared_lock lock{mutex};
-    read_back = protected_value;
-  }
-
-  EXPECT_EQ(protected_value, std::uint64_t{kWriters} * kIters);
-  EXPECT_EQ(read_back, protected_value);
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(counter_or_zero(snap, "lock.shared.site.write.contended") +
-                counter_or_zero(snap, "lock.shared.site.write.uncontended"),
-            std::uint64_t{kWriters} * kIters);
-  EXPECT_EQ(counter_or_zero(snap, "lock.shared.site.read.contended"), 0u);
-  EXPECT_EQ(counter_or_zero(snap, "lock.shared.site.read.uncontended"),
-            std::uint64_t{kReads});
-}
-
-TEST(TimedMutex, UnattachedWrapperPublishesNothing) {
-  Registry registry;  // alive but never attached
-  TimedMutex mutex;
-  std::uint64_t protected_value = 0;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 8; ++t)
-    workers.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) {
-        const std::lock_guard lock{mutex};
-        ++protected_value;
-      }
-    });
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(protected_value, 8000u);
-
-  const auto snap = registry.snapshot();
-  for (const auto& [name, value] : snap.volatile_counters)
-    EXPECT_FALSE(name.rfind("lock.", 0) == 0) << name;
-  EXPECT_TRUE(snap.volatile_histograms.empty());
-}
-
-TEST(TimedMutex, DetachFreezesAccounting) {
-  Registry registry;
-  TimedMutex mutex;
-  mutex.attach(&registry, "detach.site");
-  { const std::lock_guard lock{mutex}; }
-  mutex.attach(nullptr, "detach.site");
-  { const std::lock_guard lock{mutex}; }
-  { const std::lock_guard lock{mutex}; }
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(counter_or_zero(snap, "lock.detach.site.contended") +
-                counter_or_zero(snap, "lock.detach.site.uncontended"),
-            1u);
-}
-
 // A hand-built trace with known answers: one root thread running
 //   outer [0, 1000)
 //     inner [100, 400)
-//     a 50 us lock wait landing at ts 450 ('X', category "lock")
 // plus counter samples on two threads and an instant elsewhere.
 constexpr const char* kHandBuiltTrace = R"({"traceEvents":[
 {"ph":"B","name":"outer","cat":"stage","ts":0,"pid":1,"tid":1},
 {"ph":"B","name":"inner","cat":"stage","ts":100,"pid":1,"tid":1},
 {"ph":"E","name":"inner","cat":"stage","ts":400,"pid":1,"tid":1},
-{"ph":"X","name":"lock.site.wait","cat":"lock","ts":450,"dur":50,"pid":1,"tid":1},
 {"ph":"i","name":"mark","cat":"event","ts":500,"pid":1,"tid":2},
 {"ph":"C","name":"tasks","cat":"counter","ts":600,"pid":1,"tid":2,"args":{"value":5}},
 {"ph":"C","name":"tasks","cat":"counter","ts":900,"pid":1,"tid":1,"args":{"value":7}},
@@ -159,20 +40,13 @@ TEST(TraceAnalysis, KnownAnswersOnHandBuiltTrace) {
   EXPECT_EQ(analysis.wall_us(), 1000u);
 
   // Inclusive vs exclusive: outer spans 1000 us but its self time
-  // excludes inner's 300; the lock wait is ranked separately, never
-  // subtracted from the enclosing span.
+  // excludes inner's 300.
   const auto& spans = analysis.spans();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans.at("outer").total_us, 1000u);
   EXPECT_EQ(spans.at("outer").self_us, 700u);
   EXPECT_EQ(spans.at("inner").total_us, 300u);
   EXPECT_EQ(spans.at("inner").self_us, 300u);
-
-  const auto& locks = analysis.locks();
-  ASSERT_EQ(locks.size(), 1u);
-  EXPECT_EQ(locks.at("lock.site.wait").count, 1u);
-  EXPECT_EQ(locks.at("lock.site.wait").total_us, 50u);
-  EXPECT_EQ(locks.at("lock.site.wait").max_us, 50u);
 
   // Critical path: the root thread (tid 1, earliest event) spends
   // [100,400) inside inner and the rest inside outer.
@@ -194,7 +68,6 @@ TEST(TraceAnalysis, KnownAnswersOnHandBuiltTrace) {
 TEST(TraceAnalysis, RoundTripsTracerOutput) {
   Tracer tracer;
   tracer.begin("phase", "stage");
-  tracer.complete("lock.x.wait", 25, "lock");
   tracer.counter("done", 3);
   tracer.instant("probe.sample");
   tracer.end("phase");
@@ -203,7 +76,6 @@ TEST(TraceAnalysis, RoundTripsTracerOutput) {
   std::string error;
   ASSERT_TRUE(analysis.load_json(tracer.to_chrome_json(), &error)) << error;
   EXPECT_EQ(analysis.spans().at("phase").count, 1u);
-  EXPECT_EQ(analysis.locks().at("lock.x.wait").total_us, 25u);
   EXPECT_EQ(analysis.counters().at("done").final, 3u);
   EXPECT_EQ(analysis.instants().at("probe.sample"), 1u);
   EXPECT_EQ(analysis.unclosed_spans(), 0u);
@@ -286,50 +158,12 @@ TEST_F(ContentionCampaignTest, CanonicalReportByteStableAcrossThreadCounts) {
   ASSERT_GE(work.size(), 100u);
   // The canonical report captures what was traced (shard spans, sampled
   // probe instants, throughput counter events), never when: the same
-  // workload must produce identical bytes at 1 and 8 workers, and lock
-  // events — pure scheduling — must not leak into it.
+  // workload must produce identical bytes at 1 and 8 workers.
   const auto serial = canonical_at(world(), work, 1);
   const auto parallel = canonical_at(world(), work, 8);
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("\"canonical\": \"ran.trace_analysis.v1\""),
             std::string::npos);
-  EXPECT_EQ(serial.find("lock."), std::string::npos);
-}
-
-TEST(Manifest, ConcurrencySectionIsTimingsOnly) {
-  Registry registry;
-  TimedMutex mutex;
-  mutex.attach(&registry, "test.site");
-  // Force at least one deterministically contended acquire: the holder
-  // keeps the lock until the waiter has certainly started its lock().
-  std::atomic<bool> held{false};
-  std::thread holder{[&] {
-    mutex.lock();
-    held.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds{20});
-    mutex.unlock();
-  }};
-  while (!held.load()) std::this_thread::yield();
-  mutex.lock();
-  mutex.unlock();
-  holder.join();
-  registry.volatile_gauge("campaign.stage.probe.efficiency").set(0.875);
-  registry.volatile_gauge("campaign.parallel_efficiency").set(0.75);
-
-  RunManifest manifest;
-  manifest.capture(registry);
-  // Default serialization stays byte-stable across thread counts, so the
-  // scheduling-dependent concurrency section must not appear there.
-  const auto deterministic = manifest.to_json();
-  EXPECT_EQ(deterministic.find("\"concurrency\""), std::string::npos);
-  EXPECT_EQ(deterministic.find("lock.test.site"), std::string::npos);
-
-  const auto timed = manifest.to_json({.include_timings = true});
-  EXPECT_NE(timed.find("\"concurrency\""), std::string::npos);
-  EXPECT_NE(timed.find("\"test.site\""), std::string::npos);
-  EXPECT_NE(timed.find("\"wait_ms\""), std::string::npos);
-  EXPECT_NE(timed.find("\"parallel_efficiency\": 0.75"), std::string::npos);
-  EXPECT_NE(timed.find("\"probe\""), std::string::npos);
 }
 
 }  // namespace

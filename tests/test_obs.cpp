@@ -343,6 +343,9 @@ TEST(Manifest, JsonCarriesConfigSummaryAndMetrics) {
   const auto timed = manifest.to_json({.include_timings = true});
   EXPECT_NE(timed.find("wall_ms"), std::string::npos);
   EXPECT_NE(timed.find("\"a.speed\": 123"), std::string::npos);
+  // Scaling is read from measured speedup (trace_analyze --compare), so
+  // the timings carry no derived concurrency section.
+  EXPECT_EQ(timed.find("\"concurrency\""), std::string::npos);
 }
 
 TEST(TextTable, ToJsonMirrorsHeaderAndRows) {

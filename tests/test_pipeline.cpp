@@ -4,6 +4,10 @@
 // over (the paper's central robustness claim).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "core/att_pipeline.hpp"
 #include "topogen/profiles.hpp"
 #include "core/cable_pipeline.hpp"
@@ -319,6 +323,50 @@ TEST(AttPipelineIntegration, RouterPrefixesStayRegional) {
   // All discovered prefixes fall inside the first region's /16 pool.
   for (const auto s24 : run.study.router_slash24s)
     EXPECT_EQ(s24 >> 8, 0x4700u) << net::IPv4Address{s24 << 8}.to_string();
+}
+
+// §6.2: a (router, lspgw) adjacency counts toward the edge class only
+// once it recurs. Recount every adjacency from the corpus and check each
+// recorded verdict against the threshold of two observations.
+TEST(AttPipelineIntegration, EdgeAdjacencyMustRecurToCount) {
+  const auto run = run_small_telco();
+  const AttPipeline pipeline{*run.world, 0, {&run.live, &run.snapshot}};
+  auto lspgws = pipeline.discover_lspgws().at("sndgca");
+  const auto cap =
+      static_cast<std::size_t>(AttPipelineConfig{}.max_bootstrap_targets);
+  if (lspgws.size() > cap) lspgws.resize(cap);
+  const std::set<net::IPv4Address> lspgw_set{lspgws.begin(), lspgws.end()};
+  std::map<std::pair<int, net::IPv4Address>, int> counts;
+  for (const auto& trace : run.study.traces.traces) {
+    const auto& hops = trace.hops;
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+      if (!hops[i].responded() || !hops[i + 1].responded()) continue;
+      const bool a_lspgw = lspgw_set.contains(hops[i].addr);
+      if (a_lspgw == lspgw_set.contains(hops[i + 1].addr)) continue;
+      const auto router = a_lspgw ? hops[i + 1].addr : hops[i].addr;
+      const auto lspgw = a_lspgw ? hops[i].addr : hops[i + 1].addr;
+      if (const auto cluster = run.study.routers.cluster_of(router))
+        ++counts[{*cluster, lspgw}];
+    }
+  }
+  int one_offs = 0;
+  for (const auto& [key, count] : counts) {
+    const auto* edge = run.study.edge_provenance.find(
+        "router-" + std::to_string(key.first), key.second.to_string());
+    ASSERT_NE(edge, nullptr) << key.first << " " << key.second.to_string();
+    ASSERT_FALSE(edge->decisions.empty());
+    EXPECT_EQ(edge->decisions.back().rule, "att.edge_adjacency");
+    EXPECT_EQ(edge->kept(), count >= 2)
+        << "router-" << key.first << " -> " << key.second.to_string()
+        << " seen " << count << " time(s)";
+    one_offs += count == 1;
+  }
+  // The world must exercise the rule: some adjacency is seen only once.
+  EXPECT_GT(one_offs, 0);
+  const auto& rules = run.study.edge_provenance.rule_counts();
+  ASSERT_TRUE(rules.contains("att.edge_adjacency"));
+  EXPECT_EQ(rules.at("att.edge_adjacency").removed,
+            static_cast<std::uint64_t>(one_offs));
 }
 
 TEST(AttPipelineIntegration, DiscoversAllRegionsFromSnapshot) {

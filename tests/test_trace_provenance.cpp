@@ -84,8 +84,6 @@ struct ParsedEvent {
   long long ts;
   long long pid;
   long long tid;
-  std::string cat;
-  long long dur;  ///< -1 when the event carries no "dur"
 };
 
 std::vector<ParsedEvent> parse_chrome_trace(const std::string& json) {
@@ -107,11 +105,6 @@ std::vector<ParsedEvent> parse_chrome_trace(const std::string& json) {
     ev.ts = field(line, "\"ts\":");
     ev.pid = field(line, "\"pid\":");
     ev.tid = field(line, "\"tid\":");
-    const auto cat = line.find("\"cat\":\"");
-    if (cat != std::string::npos)
-      ev.cat = line.substr(cat + 7, line.find('"', cat + 7) - (cat + 7));
-    const auto dur = line.find("\"dur\":");
-    ev.dur = dur == std::string::npos ? -1 : std::stoll(line.substr(dur + 6));
     events.push_back(ev);
   }
   return events;
@@ -142,17 +135,11 @@ TEST(Tracer, ChromeJsonIsStructurallyValidUnderTheCampaignPool) {
     targets.push_back(net::IPv4Address{(96u << 24) | (1u << 8) | (i + 1)});
   const auto tasks = probe::grid_tasks(vps, targets);
   { StageTimer stage{&registry, "campaign"}; (void)runner.run(tasks); }
-  // A contended TimedMutex reports its wait as a backdated 'X' lock event
-  // (obs/timed_mutex.cpp). Whether the campaign's own locks contend
-  // depends on scheduling, so emit one such event unconditionally to run
-  // the 'X' branch below on every run.
-  tracer.complete("lock.test.wait", 3, "lock");
 
   const auto events = parse_chrome_trace(tracer.to_chrome_json());
   ASSERT_FALSE(events.empty());
   std::map<long long, int> depth;  // per-tid open-span stack depth
   long long last_ts = 0;
-  int lock_waits = 0;
   for (const auto& ev : events) {
     EXPECT_EQ(ev.pid, 1);
     EXPECT_GE(ev.tid, 1);
@@ -163,12 +150,6 @@ TEST(Tracer, ChromeJsonIsStructurallyValidUnderTheCampaignPool) {
     } else if (ev.phase == 'E') {
       EXPECT_GT(depth[ev.tid], 0) << "E without open B on tid " << ev.tid;
       --depth[ev.tid];
-    } else if (ev.phase == 'X') {
-      // Lock waits: a complete event with a duration; it never opens or
-      // closes a span, so the B/E depth is untouched.
-      ++lock_waits;
-      EXPECT_EQ(ev.cat, "lock") << "'X' event outside the lock category";
-      EXPECT_GE(ev.dur, 0) << "'X' event without a duration";
     } else {
       // Besides spans, the runner emits sampled instants and per-worker
       // throughput counter events.
@@ -178,7 +159,6 @@ TEST(Tracer, ChromeJsonIsStructurallyValidUnderTheCampaignPool) {
   }
   for (const auto& [tid, open] : depth)
     EXPECT_EQ(open, 0) << "unclosed span on tid " << tid;
-  EXPECT_GE(lock_waits, 1);
   // The StageTimer span and at least one campaign shard span made it in.
   const auto json = tracer.to_chrome_json();
   EXPECT_NE(json.find("\"name\":\"campaign\""), std::string::npos);
